@@ -109,6 +109,15 @@ def delta_kernel(size) -> np.ndarray:
     return k
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b over all elements.
+
+    einsum's own loop, not BLAS: OpenBLAS splits long dot products over its
+    thread pool, which makes the last bits follow the thread count.
+    """
+    return float(np.einsum("i,i->", np.ravel(a), np.ravel(b)))
+
+
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (keeps FFT sizes cheap)."""
     best = None

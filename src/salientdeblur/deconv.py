@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlurOperator, GradientField, divergence, gradients
+from .core import BlurOperator, GradientField, _inner, divergence, gradients
 from .errors import InvalidInputError, NumericalError
 
 
@@ -45,13 +45,13 @@ def cg_solve(apply_a, b: np.ndarray, iters: int, tol: float = 1e-10) -> np.ndarr
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
-    rs = float(np.vdot(r, r).real)
+    rs = _inner(r, r)
     b_norm = np.sqrt(rs)
     if b_norm == 0.0:
         return x
     for _ in range(iters):
         ap = apply_a(p)
-        denom = float(np.vdot(p, ap).real)
+        denom = _inner(p, ap)
         if denom == 0.0:
             break
         alpha = rs / denom
@@ -59,7 +59,7 @@ def cg_solve(apply_a, b: np.ndarray, iters: int, tol: float = 1e-10) -> np.ndarr
             raise NumericalError("conjugate-gradient: non-finite step scalar")
         x += alpha * p
         r -= alpha * ap
-        rs_new = float(np.vdot(r, r).real)
+        rs_new = _inner(r, r)
         if not np.isfinite(rs_new):
             raise NumericalError("conjugate-gradient: non-finite residual")
         if np.sqrt(rs_new) < tol * b_norm:

@@ -51,19 +51,11 @@ def _write_png(path: Path, samples: np.ndarray, bit_depth: int) -> None:
     path.write_bytes(blob)
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
-
-
 def _unfilter(data: bytes, h: int, w: int, channels: int, bytes_per_sample: int) -> np.ndarray:
     bpp = channels * bytes_per_sample
     stride = w * bpp
+    if len(data) < h * (stride + 1):
+        raise InvalidInputError("load: PNG image data truncated")
     out = np.zeros((h, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.int64)
     pos = 0
@@ -79,15 +71,21 @@ def _unfilter(data: bytes, h: int, w: int, channels: int, bytes_per_sample: int)
             row &= 0xFF
         elif ftype == 2:  # Up
             row = (row + prev) & 0xFF
-        elif ftype == 3:  # Average
+        elif ftype in (3, 4):  # Average, Paeth: each byte needs its decoded left neighbour
+            # plain ints, not numpy scalars, in this byte-at-a-time loop
+            x, up = row.tolist(), prev.tolist()
             for i in range(stride):
-                left = row[i - bpp] if i >= bpp else 0
-                row[i] = (row[i] + ((left + prev[i]) >> 1)) & 0xFF
-        elif ftype == 4:  # Paeth
-            for i in range(stride):
-                left = row[i - bpp] if i >= bpp else 0
-                up_left = prev[i - bpp] if i >= bpp else 0
-                row[i] = (row[i] + _paeth(int(left), int(prev[i]), int(up_left))) & 0xFF
+                a = x[i - bpp] if i >= bpp else 0
+                b = up[i]
+                if ftype == 3:
+                    pred = (a + b) >> 1
+                else:
+                    # distances of p = a + b - c to a, b and c
+                    c = up[i - bpp] if i >= bpp else 0
+                    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+                    pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+                x[i] = (x[i] + pred) & 0xFF
+            row = np.array(x, dtype=np.int64)
         else:
             raise InvalidInputError("load: PNG row filter %d unsupported" % ftype)
         out[y] = row.astype(np.uint8)
@@ -255,6 +253,8 @@ def read_kernel(path) -> np.ndarray:
     k = np.array(rows, dtype=np.float64)
     if k.shape != (h, w):
         raise InvalidInputError("load: kernel file %s has shape %s, header says %s" % (path, k.shape, (h, w)))
+    if not np.all(np.isfinite(k)):
+        raise InvalidInputError("load: kernel file %s holds non-finite values" % path)
     return k
 
 

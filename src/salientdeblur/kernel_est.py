@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GradientField, delta_kernel, gradients, _fast_len, _pad_replicate
+from .core import GradientField, _pad_replicate, convolve, delta_kernel, gradients
 from .deconv import cg_solve
 from .errors import DegenerateStructureError, InvalidInputError, NumericalError
 
@@ -95,81 +95,98 @@ def project_kernel(raw) -> tuple[np.ndarray, bool]:
     return k / total, False
 
 
+def _run_sums(q: np.ndarray, n: int) -> np.ndarray:
+    """Sums of every run of n consecutive rows of q, for at most n runs.
+
+    Each run is the rows that all runs share plus a short head and tail, so
+    no long prefix sums are differenced and the sums keep the accuracy of
+    direct ones.
+    """
+    m = q.shape[0] - n + 1
+    out = np.empty((m,) + q.shape[1:])
+    out[:] = q[m - 1 : n].sum(axis=0)
+    if m > 1:
+        out[:-1] += np.cumsum(q[m - 2 :: -1], axis=0)[::-1]
+        out[1:] += np.cumsum(q[n:], axis=0)
+    return out
+
+
 class _EdgeSystem:
     """Normal equations of ||grad B - k * grad S||^2 in the kernel unknown.
 
-    Caches the padded structure channels' spectra; one operator application
-    costs a handful of transforms at the padded image size.
+    Over both gradient channels c, the data term is sum_c ||A_c k' - b_c||^2:
+    row (y, x) of A_c is the replicate-padded kh x kw window of structure
+    channel c at that pixel, and k' is the kernel reversed, since window
+    offsets run opposite to kernel taps.  The system holds the exact
+    (kh kw)^2 Gram matrix sum_c A_c^T A_c and the right-hand side
+    sum_c A_c^T b_c in kernel order, so one operator application is a small
+    matrix-vector product.
+
+    The Gram entry of window offsets (a, b) and (a + dy, b + dx) sums the lag
+    product P(u, v) P(u + dy, v + dx) of the padded channels P over the
+    h x w box at (a, b); each lag's product is formed once and summed over
+    all its boxes.  No step calls BLAS, whose results follow its thread
+    count in the last bits.
     """
 
     def __init__(self, grad_b: GradientField, grad_s: GradientField, kshape):
         kh, kw = kshape
         if kh % 2 == 0 or kw % 2 == 0:
             raise InvalidInputError("kernel-estimation: kernel sides must be odd")
-        sx = np.asarray(grad_s[0], dtype=np.float64)
-        sy = np.asarray(grad_s[1], dtype=np.float64)
-        h, w = sx.shape
+        b = np.stack([np.asarray(c, dtype=np.float64) for c in grad_b])
+        s = [np.asarray(c, dtype=np.float64) for c in grad_s]
+        _, h, w = b.shape
+        if any(c.shape != (h, w) for c in s):
+            raise InvalidInputError("kernel-estimation: blurred and structure gradients differ in shape")
         if kh > h or kw > w:
             raise InvalidInputError("kernel-estimation: kernel larger than image")
         self.kshape = (kh, kw)
-        self.ishape = (h, w)
-        self._fh = _fast_len(h + kh - 1)
-        self._fw = _fast_len(w + kw - 1)
-        ry, rx = kh // 2, kw // 2
-        self._fs = [
-            np.fft.rfft2(_pad_replicate(ch, ry, rx), s=(self._fh, self._fw))
-            for ch in (sx, sy)
-        ]
-        self._b = [np.asarray(grad_b[0], dtype=np.float64), np.asarray(grad_b[1], dtype=np.float64)]
-        self.rhs = np.zeros(self.kshape)
-        for fs, b in zip(self._fs, self._b):
-            self.rhs += self._correlate(fs, b)
-
-    def _convolve(self, fs, kernel):
-        h, w = self.ishape
-        kh, kw = self.kshape
-        fk = np.fft.rfft2(kernel, s=(self._fh, self._fw))
-        conv = np.fft.irfft2(fs * fk, s=(self._fh, self._fw))
-        return conv[kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w]
-
-    def _correlate(self, fs, resid):
-        h, w = self.ishape
-        kh, kw = self.kshape
-        emb = np.zeros((self._fh, self._fw))
-        emb[:h, :w] = resid
-        corr = np.fft.irfft2(fs * np.conj(np.fft.rfft2(emb)), s=(self._fh, self._fw))
-        return corr[:kh, :kw][::-1, ::-1].copy()
+        p = np.stack([_pad_replicate(c, kh // 2, kw // 2) for c in s])
+        _, ph, pw = p.shape
+        windows = np.lib.stride_tricks.sliding_window_view(p, self.kshape, axis=(1, 2))
+        self.rhs = np.einsum("cyxij,cyx->ij", windows, b)[::-1, ::-1].copy()
+        # lags[dy, kw - 1 + dx, a, b - max(0, -dx)] is the entry of offsets
+        # (a, b) and (a + dy, b + dx), for the lags with dy > 0 or dy == 0 <= dx
+        lags = np.zeros((kh, 2 * kw - 1, kh, kw))
+        for dy in range(kh):
+            for dx in range(0 if dy == 0 else 1 - kw, kw):
+                x0, x1 = max(0, -dx), pw - max(0, dx)
+                q = np.einsum("cuv,cuv->uv", p[:, : ph - dy, x0:x1], p[:, dy:, x0 + dx : x1 + dx])
+                lags[dy, kw - 1 + dx, : kh - dy, : kw - abs(dx)] = _run_sums(_run_sums(q, h).T, w).T
+        # a pair of offsets takes the lag from its first offset in raster
+        # order, so the matrix comes out exactly symmetric
+        ya, xa, yb, xb = np.ogrid[:kh, :kw, :kh, :kw]
+        forward = (yb > ya) | ((yb == ya) & (xb >= xa))
+        gram = lags[abs(yb - ya), kw - 1 + np.where(forward, xb - xa, xa - xb),
+                    np.minimum(ya, yb), np.minimum(xa, xb)]
+        self.gram = gram.reshape(kh * kw, kh * kw)[::-1, ::-1].copy()
 
     def apply_data(self, kernel: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.kshape)
-        for fs in self._fs:
-            out += self._correlate(fs, self._convolve(fs, kernel))
-        return out
-
-    def residual(self, kernel: np.ndarray) -> float:
-        total = 0.0
-        for fs, b in zip(self._fs, self._b):
-            total += float(((self._convolve(fs, kernel) - b) ** 2).sum())
-        return total
+        return np.einsum("ij,j->i", self.gram, kernel.ravel()).reshape(self.kshape)
 
 
 def data_residual(grad_b: GradientField, grad_s: GradientField, kernel) -> float:
-    """||grad B - kernel * grad S||^2 with the estimator's boundary handling."""
+    """||grad B - kernel * grad S||^2 with the estimator's boundary handling,
+    evaluated directly."""
     k = np.asarray(kernel, dtype=np.float64)
-    return _EdgeSystem(grad_b, grad_s, k.shape).residual(k)
+    return sum(float(((convolve(s, k, "spatial") - np.asarray(b)) ** 2).sum())
+               for s, b in zip(grad_s, grad_b))
 
 
-def kernel_irls_step(grad_b: GradientField, grad_s: GradientField, k0, params: KernelEstParams) -> np.ndarray:
+def kernel_irls_step(grad_b: GradientField, grad_s: GradientField, k0, params: KernelEstParams,
+                     system: _EdgeSystem | None = None) -> np.ndarray:
     """Reweighted least-squares fit of the kernel with an L_alpha sparsity prior.
 
     Each reweighting solves a quadratic by conjugate gradients on the normal
     equations, then projects onto the kernel constraints, keeping iterates
-    feasible throughout.
+    feasible throughout.  ``system``, when given, is the prebuilt normal
+    equations of (grad_b, grad_s) at the kernel's shape.
     """
     k = np.asarray(k0, dtype=np.float64)
     if not np.any(np.asarray(grad_s[0])) and not np.any(np.asarray(grad_s[1])):
         raise DegenerateStructureError("kernel-estimation: salient-edge field is all zero")
-    system = _EdgeSystem(grad_b, grad_s, k.shape)
+    if system is None:
+        system = _EdgeSystem(grad_b, grad_s, k.shape)
     for _ in range(params.irls_iters):
         weight = params.gamma * params.alpha * np.maximum(np.abs(k), IRLS_WEIGHT_FLOOR) ** (params.alpha - 2.0)
 
@@ -250,10 +267,12 @@ def l0_gradient_smooth(kernel, mu: float) -> np.ndarray:
 
 def estimate_kernel(grad_b: GradientField, grad_s: GradientField, k0, params: KernelEstParams) -> np.ndarray:
     """Full kernel estimation: alternate the least-squares fit and the
-    gradient-count smoothing, projecting after each round."""
+    gradient-count smoothing, projecting after each round.  The fit's normal
+    equations are built once and shared by every round."""
     k = np.asarray(k0, dtype=np.float64)
+    system = _EdgeSystem(grad_b, grad_s, k.shape)
     for _ in range(params.itr):
-        k = kernel_irls_step(grad_b, grad_s, k, params)
+        k = kernel_irls_step(grad_b, grad_s, k, params, system=system)
         smoothed = l0_gradient_smooth(k, params.mu)
         k, _ = project_kernel(smoothed)
     return k

@@ -261,8 +261,6 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
     grad_s = None
     for li, level in enumerate(schedule.levels):
         blurred = resample(gray, level.scale) if level.scale != 1.0 else gray
-        if blurred.shape != level.image_shape:  # defensive; rounding matches by construction
-            blurred = np.clip(resize(gray, level.image_shape), 0.0, 1.0)
         if latent is None:
             latent = blurred.copy()
         else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GradientField, divergence, gradients
+from .core import GradientField, _inner, divergence, gradients
 from .errors import InvalidInputError
 
 MASK_RULES = ("magnitude", "conjunction")
@@ -146,8 +146,8 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
         e = energy(u)
         if e < best_energy:
             best, best_energy = u, e
-        delta = np.linalg.norm(u - u_prev)
-        if delta <= tol * max(np.linalg.norm(u_prev), 1e-12):
+        step = u - u_prev
+        if np.sqrt(_inner(step, step)) <= tol * max(np.sqrt(_inner(u_prev, u_prev)), 1e-12):
             break
     return best.copy()
 

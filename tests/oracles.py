@@ -2,8 +2,13 @@
 
 These deliberately avoid the library's own solution paths: the 1D TV
 problem is solved exactly by a taut-string sweep, convolution by naive
-loops, and linear operators by dense matrix assembly + direct solve.
+loops, linear operators by dense matrix assembly + direct solve, the kernel
+fit's normal operator by image-size FFTs, and PNG row filtering by a per-byte
+encoder that follows the PNG specification.
 """
+
+import struct
+import zlib
 
 import numpy as np
 
@@ -133,3 +138,81 @@ def smooth_test_image(shape, seed, margin=8, passes=1):
     yy, xx = np.mgrid[0:h, 0:w]
     d = np.minimum(np.minimum(yy, h - 1 - yy), np.minimum(xx, w - 1 - xx))
     return np.clip(np.where(d >= margin, img, 0.5), 0.0, 1.0)
+
+
+class FFTEdgeSystem:
+    """Kernel-fit normal operator of ||grad B - k * grad S||^2 by image-size FFTs.
+
+    The structure channels are replicate-padded by the kernel radius and
+    transformed once; the forward map is a linear convolution cropped to the
+    image, and its adjoint a cross-correlation cropped to the kernel.
+    """
+
+    def __init__(self, grad_b, grad_s, kshape):
+        kh, kw = kshape
+        h, w = np.asarray(grad_s[0]).shape
+        self.kshape = (kh, kw)
+        self.ishape = (h, w)
+        self.fshape = (h + kh - 1, w + kw - 1)
+        pad = ((kh // 2, kh // 2), (kw // 2, kw // 2))
+        self._fs = [np.fft.rfft2(np.pad(np.asarray(ch, dtype=np.float64), pad, mode="edge"), s=self.fshape)
+                    for ch in grad_s]
+        self._b = [np.asarray(ch, dtype=np.float64) for ch in grad_b]
+        self.rhs = sum(self._correlate(fs, b) for fs, b in zip(self._fs, self._b))
+
+    def _convolve(self, fs, kernel):
+        h, w = self.ishape
+        kh, kw = self.kshape
+        conv = np.fft.irfft2(fs * np.fft.rfft2(kernel, s=self.fshape), s=self.fshape)
+        return conv[kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w]
+
+    def _correlate(self, fs, resid):
+        h, w = self.ishape
+        kh, kw = self.kshape
+        emb = np.zeros(self.fshape)
+        emb[:h, :w] = resid
+        corr = np.fft.irfft2(fs * np.conj(np.fft.rfft2(emb)), s=self.fshape)
+        return corr[:kh, :kw][::-1, ::-1].copy()
+
+    def apply_data(self, kernel):
+        return sum(self._correlate(fs, self._convolve(fs, kernel)) for fs in self._fs)
+
+    def residual(self, kernel):
+        return sum(float(((self._convolve(fs, kernel) - b) ** 2).sum()) for fs, b in zip(self._fs, self._b))
+
+
+def _paeth(a, b, c):
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    return b if pb <= pc else c
+
+
+def png_with_filters(rows, filters, depth=8, channels=1):
+    """PNG bytes whose scanlines (lists of raw byte values) use the given
+    filter types, encoded one byte at a time."""
+    h = len(rows)
+    bpp = channels * (depth // 8)
+    w = len(rows[0]) // bpp
+    raw = b""
+    prev = [0] * len(rows[0])
+    for ftype, row in zip(filters, rows):
+        row = [int(v) for v in row]
+        enc = []
+        for i, x in enumerate(row):
+            a = row[i - bpp] if i >= bpp else 0
+            b = prev[i]
+            c = prev[i - bpp] if i >= bpp else 0
+            pred = (0, a, b, (a + b) >> 1, _paeth(a, b, c))[ftype]
+            enc.append((x - pred) & 0xFF)
+        raw += bytes([ftype] + enc)
+        prev = row
+
+    def chunk(tag, payload):
+        return (struct.pack(">I", len(payload)) + tag + payload
+                + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
+
+    ihdr = struct.pack(">IIBBBBB", w, h, depth, 0 if channels == 1 else 2, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", zlib.compress(raw))
+            + chunk(b"IEND", b""))

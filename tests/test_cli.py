@@ -126,6 +126,19 @@ class TestDeconvCommand:
             restored = sd.read_image(out)
             assert sd.psnr(restored, chart) > sd.psnr(blurred, chart)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_kernel_file_exit_2(self, tmp_path, capsys, bad):
+        bpath = tmp_path / "b.png"
+        kpath = tmp_path / "k.txt"
+        sd.write_image(bpath, sd.test_chart(64))
+        kpath.write_text("3 3\n0 0 0\n0 %s 0\n0 0 0\n" % bad)
+        rc = run(["deconv", "--input", str(bpath), "--kernel", str(kpath),
+                  "--output", str(tmp_path / "r.png")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "load:" in err and str(kpath) in err
+        assert not (tmp_path / "r.png").exists()
+
 
 class TestEndToEnd:
     def test_synth_deblur_eval(self, tmp_path, capsys):

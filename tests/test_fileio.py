@@ -7,6 +7,8 @@ import pytest
 import salientdeblur as sd
 from salientdeblur.fileio import _PNG_SIG, _png_chunk
 
+from oracles import png_with_filters
+
 
 def quantized(img, depth):
     scale = 255.0 if depth == 8 else 65535.0
@@ -41,50 +43,53 @@ def test_png_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _make_png(rows, filters, depth=8, channels=1):
-    """Hand-build a PNG whose scanlines use the given filter types."""
-    h = len(rows)
-    w = len(rows[0]) // (channels * (depth // 8))
-    color = 0 if channels == 1 else 2
-    bpp = channels * (depth // 8)
-    raw = b""
-    prev = bytes(len(rows[0]))
-    for ftype, row in zip(filters, rows):
-        if ftype == 0:
-            enc = bytes(row)
-        elif ftype == 1:  # Sub
-            enc = bytes((row[i] - (row[i - bpp] if i >= bpp else 0)) & 0xFF for i in range(len(row)))
-        elif ftype == 2:  # Up
-            enc = bytes((row[i] - prev[i]) & 0xFF for i in range(len(row)))
-        elif ftype == 3:  # Average
-            enc = bytes((row[i] - (((row[i - bpp] if i >= bpp else 0) + prev[i]) >> 1)) & 0xFF
-                        for i in range(len(row)))
-        else:  # Paeth
-            def paeth(a, b, c):
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                if pa <= pb and pa <= pc:
-                    return a
-                return b if pb <= pc else c
-
-            enc = bytes((row[i] - paeth(row[i - bpp] if i >= bpp else 0, prev[i],
-                                        prev[i - bpp] if i >= bpp else 0)) & 0xFF
-                        for i in range(len(row)))
-        raw += bytes([ftype]) + enc
-        prev = bytes(row)
-    ihdr = struct.pack(">IIBBBBB", w, h, depth, color, 0, 0, 0)
-    return (_PNG_SIG + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", zlib.compress(raw))
-            + _png_chunk(b"IEND", b""))
-
-
 def test_png_decodes_all_filter_types(tmp_path):
     rng = np.random.default_rng(0)
     rows = [list(rng.integers(0, 256, size=12)) for _ in range(5)]
-    blob = _make_png(rows, filters=[0, 1, 2, 3, 4])
+    blob = png_with_filters(rows, filters=[0, 1, 2, 3, 4])
     path = tmp_path / "filtered.png"
     path.write_bytes(blob)
     img = sd.read_image(path)
     assert np.array_equal(np.rint(img * 255).astype(int), np.array(rows).reshape(5, 12))
+
+
+@pytest.mark.parametrize("depth", [8, 16])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_png_filter_round_trip_bit_exact(tmp_path, depth, channels):
+    # every filter type follows every other, including runs of the
+    # sequential Average and Paeth filters
+    filters = [0, 1, 2, 3, 4, 4, 3, 3, 0, 4, 2, 4, 1, 3, 2, 0, 1, 1, 4, 0]
+    h, w = len(filters), 11
+    rng = np.random.default_rng(10 * depth + channels)
+    samples = rng.integers(0, 2**depth, size=(h, w, channels))
+    # half the rows smooth, so the predictors see small differences too
+    samples[::2] = np.cumsum(rng.integers(0, 3, size=(h // 2, w, channels)), axis=1) % 2**depth
+    raw = samples.astype(">u1" if depth == 8 else ">u2").reshape(h, -1).view(np.uint8)
+    path = tmp_path / "filtered.png"
+    path.write_bytes(png_with_filters(list(raw), filters, depth, channels))
+    img = sd.read_image(path)
+    expect = samples / float(2**depth - 1)
+    assert np.array_equal(img, expect[:, :, 0] if channels == 1 else expect)
+
+
+def test_png_rejects_unknown_filter(tmp_path):
+    ihdr = struct.pack(">IIBBBBB", 3, 1, 8, 0, 0, 0, 0)
+    blob = (_PNG_SIG + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", zlib.compress(b"\x05\x01\x02\x03"))
+            + _png_chunk(b"IEND", b""))
+    path = tmp_path / "f.png"
+    path.write_bytes(blob)
+    with pytest.raises(sd.InvalidInputError, match="filter 5"):
+        sd.read_image(path)
+
+
+def test_png_rejects_truncated_data(tmp_path):
+    ihdr = struct.pack(">IIBBBBB", 3, 2, 8, 0, 0, 0, 0)
+    blob = (_PNG_SIG + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", zlib.compress(b"\x00\x01\x02\x03"))
+            + _png_chunk(b"IEND", b""))
+    path = tmp_path / "t.png"
+    path.write_bytes(blob)
+    with pytest.raises(sd.InvalidInputError, match="truncated"):
+        sd.read_image(path)
 
 
 def test_png_rejects_interlaced(tmp_path):

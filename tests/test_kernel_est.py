@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import salientdeblur as sd
-from salientdeblur.kernel_est import KernelEstParams, data_residual, kernel_sparsity
+from salientdeblur import kernel_est
+from salientdeblur.kernel_est import KernelEstParams, _EdgeSystem, _run_sums, data_residual, kernel_sparsity
 
-from oracles import dense_from_operator, smooth_test_image
+from oracles import FFTEdgeSystem, dense_from_operator, smooth_test_image
 
 
 def line_kernel_5():
@@ -108,6 +109,84 @@ class TestL0GradientSmooth:
         out = sd.l0_gradient_smooth(k, 1e3)
         assert sd.gradient_count(out) == 0
         assert np.allclose(out, out.mean(), atol=1e-15)
+
+
+def random_fields(ishape, seed):
+    rng = np.random.default_rng(seed)
+    grad_b = sd.GradientField(rng.normal(size=ishape), rng.normal(size=ishape))
+    grad_s = sd.GradientField(rng.normal(size=ishape), rng.normal(size=ishape))
+    return grad_b, grad_s, rng
+
+
+def max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestGramSystem:
+    """The Gram-matrix normal equations against the image-size FFT operator."""
+
+    @pytest.mark.parametrize("ishape, kshape", [
+        ((41, 57), (7, 5)),      # non-square image and kernel
+        ((23, 9), (5, 9)),       # kernel as wide as the image
+        ((9, 23), (9, 3)),       # kernel as tall as the image
+        ((11, 11), (11, 11)),    # kernel as large as the image
+        ((30, 301), (15, 15)),   # wide image, large kernel
+    ])
+    def test_matches_fft_reference(self, ishape, kshape):
+        grad_b, grad_s, rng = random_fields(ishape, sum(ishape) + sum(kshape))
+        ref = FFTEdgeSystem(grad_b, grad_s, kshape)
+        system = _EdgeSystem(grad_b, grad_s, kshape)
+        for _ in range(3):
+            k = rng.random(kshape)
+            assert max_rel(system.apply_data(k), ref.apply_data(k)) <= 1e-12
+            assert abs(data_residual(grad_b, grad_s, k) - ref.residual(k)) <= 1e-12 * ref.residual(k)
+        assert max_rel(system.rhs, ref.rhs) <= 1e-12
+
+    @pytest.mark.parametrize("rows, n", [(9, 9), (13, 7), (40, 37), (5, 3)])
+    def test_run_sums_match_direct_sums(self, rows, n):
+        q = np.random.default_rng(rows + n).normal(size=(rows, 3))
+        direct = np.array([q[i : i + n].sum(axis=0) for i in range(rows - n + 1)])
+        assert np.allclose(_run_sums(q, n), direct, rtol=0, atol=1e-13)
+
+    def test_rejects_mismatched_fields(self):
+        grad_b, grad_s, _ = random_fields((12, 12), 5)
+        short = sd.GradientField(grad_b.gx[:-1], grad_b.gy[:-1])
+        with pytest.raises(sd.InvalidInputError):
+            _EdgeSystem(short, grad_s, (3, 3))
+
+    def test_gram_symmetric(self):
+        grad_b, grad_s, _ = random_fields((25, 31), 3)
+        gram = _EdgeSystem(grad_b, grad_s, (5, 7)).gram
+        assert np.array_equal(gram, gram.T)
+
+    def test_irls_step_matches_fft_reference(self):
+        # same CG iterates up to roundoff whichever operator applies the data term
+        grad_b, grad_s, _ = make_blur_instance(seed=14, shape=(37, 45), kernel=np.full((5, 3), 1 / 15))
+        params = KernelEstParams(gamma=0.01, alpha=0.5, mu=0.0, itr=1, irls_iters=3, cg_iters=25)
+        k0 = sd.delta_kernel((5, 3))
+        ref = sd.kernel_irls_step(grad_b, grad_s, k0, params, system=FFTEdgeSystem(grad_b, grad_s, (5, 3)))
+        k = sd.kernel_irls_step(grad_b, grad_s, k0, params)
+        assert np.abs(k - ref).max() <= 1e-12
+
+    def test_estimate_kernel_builds_system_once(self, monkeypatch):
+        built = []
+
+        class Counting(_EdgeSystem):
+            def __init__(self, *args):
+                built.append(args[2])
+                super().__init__(*args)
+
+        monkeypatch.setattr(kernel_est, "_EdgeSystem", Counting)
+        grad_b, grad_s, _ = make_blur_instance(seed=15, shape=(31, 31))
+        params = KernelEstParams(itr=3, irls_iters=2, cg_iters=10)
+        sd.estimate_kernel(grad_b, grad_s, sd.delta_kernel(5), params)
+        assert built == [(5, 5)]
+
+    def test_rejects_even_or_oversized_kernel(self):
+        grad_b, grad_s, _ = random_fields((9, 12), 4)
+        for kshape in ((4, 5), (11, 3), (3, 13)):
+            with pytest.raises(sd.InvalidInputError):
+                _EdgeSystem(grad_b, grad_s, kshape)
 
 
 class TestKernelIrlsStep:

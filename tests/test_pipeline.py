@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -171,7 +176,7 @@ class TestPipeline:
         chart = sd.test_chart(96)
         color = np.dstack([chart, np.clip(chart * 0.8 + 0.1, 0, 1), np.clip(1 - chart, 0, 1)])
         blurred = sd.synthesize(color, sd.kernel_preset("line-h", 7), noise_sigma=0.005, seed=2)
-        kernel, restored, _ = sd.deblur_blind(blurred, sd.DeblurConfig(kernel_size=7))
+        kernel, restored, _ = sd.deblur_blind(blurred, sd.DeblurConfig(kernel_size=11))
         assert restored.shape == color.shape
         sd.check_kernel(kernel)
 
@@ -186,3 +191,29 @@ class TestPipeline:
         chart = sd.test_chart(96)
         with pytest.raises(sd.InvalidInputError):
             sd.deblur_blind(chart, sd.DeblurConfig(kernel_size=7), crop=(90, 90, 50, 50))
+
+
+_BLIND_RUN = """
+import sys
+import numpy as np
+import salientdeblur as sd
+blurred = sd.synthesize(sd.test_chart(112), sd.kernel_preset("line-d", 11), noise_sigma=0.01, seed=3)
+kernel, restored, _ = sd.deblur_blind(blurred, sd.DeblurConfig(kernel_size=11))
+np.savez(sys.argv[1], kernel=kernel, restored=restored)
+"""
+
+
+def test_blind_deblur_independent_of_blas_threads(tmp_path):
+    # 112^2 pixels is past the vector length (about 1e4) at which OpenBLAS
+    # splits an inner product over its threads, and an 11^2 kernel gives a
+    # normal matrix large enough for a threaded BLAS product to differ
+    src = str(Path(sd.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / ("threads%s.npz" % threads)
+        subprocess.run([sys.executable, "-c", _BLIND_RUN, str(out)], env=env, check=True, timeout=300)
+        results.append(np.load(out))
+    for name in ("kernel", "restored"):
+        assert np.array_equal(results[0][name], results[1][name]), name
