@@ -11,7 +11,6 @@ from .core import (
     GradientField,
     check_kernel,
     convolve,
-    convolve_adjoint,
     delta_kernel,
     divergence,
     gradients,
@@ -49,7 +48,6 @@ from .pipeline import (
     load_config,
 )
 from .structure import (
-    StructureParams,
     adaptive_tv_denoise,
     init_threshold,
     r_map,
@@ -63,9 +61,8 @@ from .synth import kernel_preset, synthesize, test_chart
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlurOperator", "GradientField", "check_kernel", "convolve", "convolve_adjoint",
-    "delta_kernel", "divergence", "gradients", "poisson_reconstruct", "resample",
-    "resize", "to_grayscale",
+    "BlurOperator", "GradientField", "check_kernel", "convolve", "delta_kernel",
+    "divergence", "gradients", "poisson_reconstruct", "resample", "resize", "to_grayscale",
     "DeconvParams", "adaptive_deconv", "cg_solve", "tv_deconv",
     "DeblurError", "DegenerateStructureError", "InvalidInputError", "NumericalError",
     "TexturelessImageError",
@@ -75,7 +72,7 @@ __all__ = [
     "EvalReport", "error_ratio", "evaluate_directory", "psnr", "ssde",
     "DeblurConfig", "ScaleLevel", "ScaleSchedule", "build_schedule", "deblur_blind",
     "estimate_blur_kernel", "load_config",
-    "StructureParams", "adaptive_tv_denoise", "init_threshold", "r_map", "salient_mask",
-    "select_salient_edges", "shock_filter", "smooth_weight",
+    "adaptive_tv_denoise", "init_threshold", "r_map", "salient_mask", "select_salient_edges",
+    "shock_filter", "smooth_weight",
     "kernel_preset", "synthesize", "test_chart",
 ]

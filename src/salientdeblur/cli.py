@@ -23,16 +23,19 @@ from .core import poisson_reconstruct
 from .deconv import adaptive_deconv, tv_deconv
 from .errors import DeblurError, InvalidInputError
 from .kernel_est import project_kernel
-from .pipeline import DeblurConfig, deblur_blind, estimate_blur_kernel, load_config, structure_pass
-from .structure import salient_mask
+from .pipeline import (
+    _CONFIG_TYPES,
+    DeblurConfig,
+    crop_region,
+    deblur_blind,
+    estimate_blur_kernel,
+    load_config,
+    structure_pass,
+)
+from .structure import MASK_RULES, salient_mask
 
-_CONFIG_FLAGS = {
-    "theta0": float, "lambda_c": float, "lambda_final": float, "gamma": float,
-    "alpha": float, "itr": int, "inner_iters": int, "decay": float, "window": int,
-    "mu": float, "threshold": float, "shock_dt": float, "shock_steps": int,
-    "tv_iters": int, "tv_tol": float, "irls_iters": int, "cg_iters_kernel": int,
-    "cg_iters_interim": int, "cg_iters_final": int, "weight_floor": float,
-}
+# Config keys settable by a flag of the same name; these two have their own.
+_CONFIG_FLAGS = {k: t for k, t in _CONFIG_TYPES.items() if k not in ("kernel_size", "mask_rule")}
 
 _DEFAULT_KERNEL_SIZE = 15
 
@@ -41,7 +44,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="config file of 'key = value' lines")
     parser.add_argument("--kernel-size", type=int, metavar="N",
                         help="blur kernel side length (odd)")
-    parser.add_argument("--mask-rule", choices=("magnitude", "conjunction"),
+    parser.add_argument("--mask-rule", choices=MASK_RULES,
                         help="salient-edge mask rule (default magnitude)")
     group = parser.add_argument_group("parameter overrides")
     for name, typ in _CONFIG_FLAGS.items():
@@ -60,12 +63,10 @@ def _build_config(args, kernel_size_required: bool = True) -> DeblurConfig:
             kernel_size = _DEFAULT_KERNEL_SIZE
         cfg = DeblurConfig(kernel_size=kernel_size)
     overrides = {}
-    for name in _CONFIG_FLAGS:
+    for name in (*_CONFIG_FLAGS, "mask_rule"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if getattr(args, "mask_rule", None):
-        overrides["mask_rule"] = args.mask_rule
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg.validate()
@@ -119,10 +120,7 @@ def _cmd_estimate_kernel(args) -> int:
     image = fileio.read_image(args.input)
     crop = _parse_crop(args.crop)
     if crop is not None:
-        x, y, w, h = crop
-        if y + h > image.shape[0] or x + w > image.shape[1] or x < 0 or y < 0:
-            raise InvalidInputError("crop: rectangle %s outside image %s" % (crop, image.shape[:2]))
-        image = image[y : y + h, x : x + w]
+        image = crop_region(image, crop)
     result = estimate_blur_kernel(image, cfg, progress=_progress_printer(args.verbose))
     txt = Path(args.output)
     fileio.write_kernel(txt, result.kernel)

@@ -109,6 +109,19 @@ def delta_kernel(size) -> np.ndarray:
     return k
 
 
+def _shift_zero(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """Integer shift of a 2D grid by (dy, dx); vacated cells are zero, mass
+    shifted past the frame is dropped."""
+    out = np.zeros_like(a)
+    h, w = a.shape
+    ys = slice(max(dy, 0), min(h + dy, h))
+    xs = slice(max(dx, 0), min(w + dx, w))
+    ysrc = slice(max(-dy, 0), min(h - dy, h))
+    xsrc = slice(max(-dx, 0), min(w - dx, w))
+    out[ys, xs] = a[ysrc, xsrc]
+    return out
+
+
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of a * b over all elements.
 
@@ -170,15 +183,6 @@ def _conv_spatial(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_fft(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    h, w = img.shape
-    kh, kw = kernel.shape
-    p = _pad_replicate(img, kh // 2, kw // 2)
-    fh, fw = _fast_len(h + kh - 1), _fast_len(w + kw - 1)
-    conv = np.fft.irfft2(np.fft.rfft2(p, s=(fh, fw)) * np.fft.rfft2(kernel, s=(fh, fw)), s=(fh, fw))
-    return conv[kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w]
-
-
 def convolve(img, kernel, mode: str = "fft") -> np.ndarray:
     """Same-size convolution with edge replication at the boundary.
 
@@ -193,25 +197,10 @@ def convolve(img, kernel, mode: str = "fft") -> np.ndarray:
         raise InvalidInputError("convolve: kernel %s larger than image %s" % (k.shape, (h, w)))
     if mode not in ("spatial", "fft"):
         raise InvalidInputError("convolve: unknown mode %r" % mode)
-    conv1 = _conv_spatial if mode == "spatial" else _conv_fft
+    conv1 = BlurOperator(k, (h, w)).forward if mode == "fft" else lambda a: _conv_spatial(a, k)
     if img.ndim == 2:
-        return conv1(img, k)
-    return np.dstack([conv1(img[:, :, c], k) for c in range(img.shape[2])])
-
-
-def convolve_adjoint(img, kernel) -> np.ndarray:
-    """Adjoint of ``convolve(., kernel)`` in its image argument."""
-    a = np.asarray(img, dtype=np.float64)
-    k = np.asarray(kernel, dtype=np.float64)
-    _check_kernel_shape(k)
-    h, w = a.shape
-    kh, kw = k.shape
-    ry, rx = kh // 2, kw // 2
-    fh, fw = _fast_len(h + kh - 1), _fast_len(w + kw - 1)
-    emb = np.zeros((fh, fw))
-    emb[kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w] = a
-    q = np.fft.irfft2(np.fft.rfft2(emb) * np.conj(np.fft.rfft2(k, s=(fh, fw))), s=(fh, fw))
-    return _fold_replicate(q[: h + 2 * ry, : w + 2 * rx], ry, rx)
+        return conv1(img)
+    return np.dstack([conv1(img[:, :, c]) for c in range(img.shape[2])])
 
 
 class BlurOperator:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GradientField, _pad_replicate, convolve, delta_kernel, gradients
+from .core import GradientField, _pad_replicate, convolve, delta_kernel, gradients, periodic_gradients
 from .deconv import cg_solve
 from .errors import DegenerateStructureError, InvalidInputError, NumericalError
 
@@ -44,8 +44,7 @@ class KernelEstParams:
     def __post_init__(self):
         if self.gamma < 0:
             raise InvalidInputError("kernel-estimation: gamma must be >= 0")
-        if not 0 < self.alpha <= 1 and self.alpha != 2:
-            # alpha = 2 is admitted for ridge-regression checks
+        if not 0 < self.alpha <= 1:
             raise InvalidInputError("kernel-estimation: alpha must be in (0, 1]")
         if self.mu < 0:
             raise InvalidInputError("kernel-estimation: mu must be >= 0")
@@ -251,8 +250,7 @@ def l0_gradient_smooth(kernel, mu: float) -> np.ndarray:
     f_target = np.fft.fft2(x)
     beta = 2.0 * mu
     while beta <= _BETA_MAX:
-        gx = np.roll(x, -1, axis=1) - x
-        gy = np.roll(x, -1, axis=0) - x
+        gx, gy = periodic_gradients(x)
         keep = gx * gx + gy * gy >= mu / beta
         fh = np.fft.fft2(np.where(keep, gx, 0.0))
         fv = np.fft.fft2(np.where(keep, gy, 0.0))

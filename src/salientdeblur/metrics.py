@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import to_grayscale
+from .core import _shift_zero, to_grayscale
 from .deconv import DeconvParams, tv_deconv
 from .errors import InvalidInputError
 from .fileio import read_image, read_kernel
@@ -46,17 +46,6 @@ def _embed_center(k: np.ndarray, shape) -> np.ndarray:
     out = np.zeros((th, tw))
     oy, ox = (th - kh) // 2, (tw - kw) // 2
     out[oy : oy + kh, ox : ox + kw] = k
-    return out
-
-
-def _shift_zero(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    out = np.zeros_like(a)
-    h, w = a.shape
-    ys = slice(max(dy, 0), min(h + dy, h))
-    xs = slice(max(dx, 0), min(w + dx, w))
-    ysrc = slice(max(-dy, 0), min(h - dy, h))
-    xsrc = slice(max(-dx, 0), min(w - dx, w))
-    out[ys, xs] = a[ysrc, xsrc]
     return out
 
 

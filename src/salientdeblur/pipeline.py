@@ -10,12 +10,13 @@ kernel and structure drive the full-resolution adaptive restoration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import delta_kernel, gradients, resample, resize, to_grayscale
+from .core import _shift_zero, delta_kernel, gradients, resample, resize, to_grayscale
 from .deconv import DeconvParams, adaptive_deconv, tv_deconv
 from .errors import InvalidInputError, TexturelessImageError
 from .kernel_est import KernelEstParams, estimate_kernel, mu_schedule, project_kernel
@@ -64,6 +65,15 @@ class DeblurConfig:
     weight_floor: float = 0.001
 
     def validate(self) -> "DeblurConfig":
+        for name, typ in _CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_KEYS:
+                continue
+            if typ is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise InvalidInputError("config: %s must be an integer, got %r" % (name, value))
+            if typ is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                                 or not math.isfinite(value)):
+                raise InvalidInputError("config: %s must be a finite number, got %r" % (name, value))
         if self.kernel_size < 3 or self.kernel_size % 2 == 0:
             raise InvalidInputError("config: kernel_size must be odd and >= 3")
         if self.decay <= 1:
@@ -72,12 +82,18 @@ class DeblurConfig:
             raise InvalidInputError("config: inner_iters must be >= 1")
         if self.theta0 <= 0 or self.lambda_c <= 0 or self.lambda_final <= 0:
             raise InvalidInputError("config: theta0, lambda_c and lambda_final must be > 0")
+        if self.window < 3 or self.window % 2 == 0:
+            raise InvalidInputError("config: window must be odd and >= 3")
         if self.mask_rule not in MASK_RULES:
             raise InvalidInputError("config: mask_rule must be one of %s" % (MASK_RULES,))
         if self.mu is not None and self.mu < 0:
             raise InvalidInputError("config: mu must be >= 0")
         if self.threshold is not None and self.threshold < 0:
             raise InvalidInputError("config: threshold must be >= 0")
+        if not 0 < self.shock_dt <= 1:
+            raise InvalidInputError("config: shock_dt must be in (0, 1]")
+        if self.shock_steps < 0:
+            raise InvalidInputError("config: shock_steps must be >= 0")
         # delegate the remaining ranges to the parameter bundles
         self.kernel_params(self.kernel_size)
         self.deconv_params()
@@ -93,7 +109,11 @@ class DeblurConfig:
                             cg_iters_final=self.cg_iters_final, weight_floor=self.weight_floor)
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(DeblurConfig)}
+# The schema of config files and CLI flags: every field's value type, read
+# from its annotation ("float | None" is an optional float).
+_CONFIG_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type.split(" | ")[0]]
+                 for f in fields(DeblurConfig)}
+_OPTIONAL_KEYS = {f.name for f in fields(DeblurConfig) if f.type.endswith(" | None")}
 
 
 def parse_config_text(text: str, base: DeblurConfig | None = None, kernel_size: int | None = None) -> DeblurConfig:
@@ -125,13 +145,8 @@ def parse_config_text(text: str, base: DeblurConfig | None = None, kernel_size: 
 def _parse_config_value(key: str, value: str):
     if value.lower() == "none":
         return None
-    if key in ("mask_rule",):
-        return value
     try:
-        if key in ("kernel_size", "itr", "inner_iters", "window", "shock_steps", "tv_iters",
-                   "irls_iters", "cg_iters_kernel", "cg_iters_interim", "cg_iters_final"):
-            return int(value)
-        return float(value)
+        return _CONFIG_TYPES[key](value)
     except ValueError as exc:
         raise InvalidInputError("config: bad value %r for key %r" % (value, key)) from exc
 
@@ -218,25 +233,27 @@ def _recenter_kernel(kernel: np.ndarray) -> np.ndarray:
         return kernel
     cy = float((np.arange(h) * kernel.sum(axis=1)).sum() / total)
     cx = float((np.arange(w) * kernel.sum(axis=0)).sum() / total)
-    dy = h // 2 - int(round(cy))
-    dx = w // 2 - int(round(cx))
-    if dy == 0 and dx == 0:
-        return kernel
-    out = np.zeros_like(kernel)
-    ys, xs = slice(max(dy, 0), min(h + dy, h)), slice(max(dx, 0), min(w + dx, w))
-    ysrc = slice(max(-dy, 0), min(h - dy, h))
-    xsrc = slice(max(-dx, 0), min(w - dx, w))
-    out[ys, xs] = kernel[ysrc, xsrc]
-    return out
+    return _shift_zero(kernel, h // 2 - int(round(cy)), w // 2 - int(round(cx)))
 
 
-def _select_relaxed(enhanced, threshold: float, rule: str):
-    """Salient edges at the given threshold, halving it while the field is empty."""
+def _extract_structure(image, omega, theta: float, threshold: float | None, kernel_size: int,
+                       config: DeblurConfig):
+    """TV split, shock filter and salient-edge selection on one image.
+
+    A ``threshold`` of None starts from the adaptive initialization for the
+    kernel size; an empty edge field halves the threshold until edges
+    appear.  Returns (structure, enhanced, threshold used, salient gradient
+    field).
+    """
+    structure = adaptive_tv_denoise(image, theta, omega, config.tv_iters, config.tv_tol)
+    enhanced = shock_filter(structure, config.shock_dt, config.shock_steps)
     t = threshold
+    if t is None:
+        t = init_threshold(gradients(enhanced), enhanced.size, kernel_size ** 2)
     for _ in range(_MAX_RELAX + 1):
-        grad_s = select_salient_edges(enhanced, t, rule)
+        grad_s = select_salient_edges(enhanced, t, config.mask_rule)
         if np.any(grad_s.gx) or np.any(grad_s.gy):
-            return grad_s, t
+            return structure, enhanced, t, grad_s
         if t == 0.0:
             break
         t = t / 2.0
@@ -272,11 +289,7 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
         dparams = config.deconv_params()
         theta = level.theta
         for it in range(config.inner_iters):
-            structure = adaptive_tv_denoise(latent, theta, omega, config.tv_iters, config.tv_tol)
-            enhanced = shock_filter(structure, config.shock_dt, config.shock_steps)
-            if t is None:
-                t = init_threshold(gradients(enhanced), enhanced.size, level.kernel_size ** 2)
-            grad_s, t = _select_relaxed(enhanced, t, config.mask_rule)
+            _, _, t, grad_s = _extract_structure(latent, omega, theta, t, level.kernel_size, config)
             kernel = estimate_kernel(grad_b, grad_s, kernel, kparams)
             # canonical representative of the shift-ambiguous blur pair; the
             # interim deconvolution below rebuilds the latent consistently
@@ -295,16 +308,17 @@ def structure_pass(image, config: DeblurConfig, theta: float | None = None,
     mask threshold used, salient gradient field)."""
     gray = to_grayscale(image)
     omega = smooth_weight(r_map(gray, config.window))
-    structure = adaptive_tv_denoise(gray, theta if theta is not None else config.theta0,
-                                    omega, config.tv_iters, config.tv_tol)
-    enhanced = shock_filter(structure, config.shock_dt, config.shock_steps)
-    t = threshold
-    if t is None:
-        t = config.threshold
-    if t is None:
-        t = init_threshold(gradients(enhanced), enhanced.size, config.kernel_size ** 2)
-    grad_s, t = _select_relaxed(enhanced, t, config.mask_rule)
-    return structure, enhanced, t, grad_s
+    return _extract_structure(gray, omega, theta if theta is not None else config.theta0,
+                              threshold if threshold is not None else config.threshold,
+                              config.kernel_size, config)
+
+
+def crop_region(img, crop) -> np.ndarray:
+    """The (x, y, w, h) pixel rectangle of an image; it must lie inside it."""
+    x, y, cw, ch = (int(v) for v in crop)
+    if x < 0 or y < 0 or cw < 1 or ch < 1 or y + ch > img.shape[0] or x + cw > img.shape[1]:
+        raise InvalidInputError("crop: rectangle %s outside image %s" % (crop, img.shape[:2]))
+    return img[y : y + ch, x : x + cw]
 
 
 def deblur_blind(image, config: DeblurConfig, crop=None, progress=None):
@@ -317,11 +331,7 @@ def deblur_blind(image, config: DeblurConfig, crop=None, progress=None):
     config.validate()
     img = np.asarray(image, dtype=np.float64)
     if crop is not None:
-        x, y, cw, ch = (int(v) for v in crop)
-        if x < 0 or y < 0 or cw < 1 or ch < 1 or y + ch > img.shape[0] or x + cw > img.shape[1]:
-            raise InvalidInputError("crop: rectangle %s outside image %s" % (crop, img.shape[:2]))
-        region = img[y : y + ch, x : x + cw]
-        result = estimate_blur_kernel(region, config, progress=progress)
+        result = estimate_blur_kernel(crop_region(img, crop), config, progress=progress)
         # The crop's structure field does not cover the full frame; rebuild it
         # from an interim full-frame restoration at the final (t, theta).
         gray = to_grayscale(img)

@@ -11,8 +11,6 @@ estimation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import GradientField, _inner, divergence, gradients
@@ -23,32 +21,6 @@ MASK_RULES = ("magnitude", "conjunction")
 # Divisor applied to the single-axis gradient components in the edge
 # strength triple before thresholding.
 _AXIS_DIVISOR = 5.0 * math.sqrt(2.0)
-
-
-@dataclass
-class StructureParams:
-    """Tunables for the structure-extraction stack."""
-
-    theta: float = 1.0
-    window: int = 5
-    threshold: float = 0.0
-    shock_dt: float = 1.0
-    shock_steps: int = 1
-    mask_rule: str = "magnitude"
-
-    def __post_init__(self):
-        if self.theta <= 0:
-            raise InvalidInputError("structure: theta must be > 0")
-        if self.threshold < 0:
-            raise InvalidInputError("structure: threshold must be >= 0")
-        if self.window < 3 or self.window % 2 == 0:
-            raise InvalidInputError("structure: window must be odd and >= 3")
-        if not 0 < self.shock_dt <= 1:
-            raise InvalidInputError("structure: shock_dt must be in (0, 1]")
-        if self.shock_steps < 0:
-            raise InvalidInputError("structure: shock_steps must be >= 0")
-        if self.mask_rule not in MASK_RULES:
-            raise InvalidInputError("structure: mask_rule must be one of %s" % (MASK_RULES,))
 
 
 def _window_sum(a: np.ndarray, window: int) -> np.ndarray:
@@ -93,6 +65,11 @@ def tv_objective(u, image, theta: float, omega=None) -> float:
     u = np.asarray(u, dtype=np.float64)
     f = np.asarray(image, dtype=np.float64)
     lam = theta * (np.ones_like(f) if omega is None else np.asarray(omega, dtype=np.float64))
+    return _tv_energy(u, f, lam)
+
+
+def _tv_energy(u: np.ndarray, f: np.ndarray, lam: np.ndarray) -> float:
+    """sum ||grad u||_2 + (u - f)^2 / (2 lam), with lam = theta * omega per pixel."""
     g = gradients(u)
     return float(np.hypot(g.gx, g.gy).sum() + ((u - f) ** 2 / (2.0 * lam)).sum())
 
@@ -129,13 +106,8 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
     px = np.zeros_like(f)
     py = np.zeros_like(f)
     u = f.copy()
-
-    def energy(cand):
-        g = gradients(cand)
-        return float(np.hypot(g.gx, g.gy).sum() + ((cand - f) ** 2 / (2.0 * lam)).sum())
-
     best = u
-    best_energy = energy(u)
+    best_energy = _tv_energy(u, f, lam)
     for _ in range(max_iters):
         gx, gy = gradients(u)
         denom = 1.0 + coef * np.hypot(gx, gy)
@@ -143,7 +115,7 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
         py = (py + coef * gy) / denom
         u_prev = u
         u = f + lam * divergence(GradientField(px, py))
-        e = energy(u)
+        e = _tv_energy(u, f, lam)
         if e < best_energy:
             best, best_energy = u, e
         step = u - u_prev

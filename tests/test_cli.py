@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,25 @@ class TestHelp:
         out = capsys.readouterr().out
         for flag in ("--kernel-size", "--crop", "--mask-rule", "--gamma", "--lambda-c", "--config"):
             assert flag in out
+
+    def test_every_config_field_has_a_flag_of_its_type(self):
+        parser = build_parser()
+        base = sd.DeblurConfig(kernel_size=7)
+        for f in fields(base):
+            default = getattr(base, f.name)
+            if f.name == "kernel_size":
+                args = parser.parse_args(["deblur", "--input", "a", "--output", "b", "--kernel-size", "9"])
+                assert args.kernel_size == 9
+            elif f.name == "mask_rule":
+                args = parser.parse_args(["deblur", "--input", "a", "--output", "b",
+                                          "--mask-rule", "conjunction"])
+                assert args.mask_rule == "conjunction"
+            else:
+                args = parser.parse_args(["deblur", "--input", "a", "--output", "b",
+                                          "--" + f.name.replace("_", "-"), "3"])
+                value = getattr(args, f.name)
+                assert value == 3
+                assert type(value) is (float if default is None else type(default))
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -56,6 +77,24 @@ class TestErrors:
                   "--config", str(cfg)])
         assert rc == 2
         assert "no_such_key" in capsys.readouterr().err
+
+    def test_non_finite_config_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("kernel_size = 7\nmu = nan\n")
+        img = tmp_path / "img.png"
+        sd.write_image(img, sd.test_chart(64))
+        rc = run(["estimate-kernel", "--input", str(img), "--output", str(tmp_path / "k.txt"),
+                  "--config", str(cfg)])
+        assert rc == 2
+        assert "error: config: mu" in capsys.readouterr().err
+
+    def test_empty_crop_exit_2(self, tmp_path, capsys):
+        img = tmp_path / "img.png"
+        sd.write_image(img, sd.test_chart(128))
+        rc = run(["estimate-kernel", "--input", str(img), "--output", str(tmp_path / "k.txt"),
+                  "--kernel-size", "7", "--crop", "0,0,0,96"])
+        assert rc == 2
+        assert "error: crop:" in capsys.readouterr().err
 
     def test_missing_kernel_size_exit_2(self, tmp_path):
         img = tmp_path / "img.png"

@@ -142,7 +142,7 @@ class TestConvolve:
             v = rng.normal(size=(14, 11))
             k = rng.normal(size=(5, 3))
             lhs = float(np.sum(sd.convolve(img, k, "fft") * v))
-            rhs = float(np.sum(img * sd.convolve_adjoint(v, k)))
+            rhs = float(np.sum(img * sd.BlurOperator(k, v.shape).adjoint(v)))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_blur_operator_matches_free_functions(self):
@@ -152,7 +152,6 @@ class TestConvolve:
         k /= k.sum()
         op = sd.BlurOperator(k, img.shape)
         assert np.array_equal(op.forward(img), sd.convolve(img, k, "fft"))
-        assert np.array_equal(op.adjoint(img), sd.convolve_adjoint(img, k))
 
 
 class TestResample:
@@ -248,7 +247,7 @@ def test_no_nan_inf_from_finite_inputs():
         sd.gradients(img).gx,
         sd.divergence(sd.gradients(img)),
         sd.convolve(img, k, "fft"),
-        sd.convolve_adjoint(img, k),
+        sd.BlurOperator(k, img.shape).adjoint(img),
         sd.resample(img, 0.7071),
         sd.poisson_reconstruct(sd.gradients(img)),
     ]

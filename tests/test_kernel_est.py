@@ -207,7 +207,7 @@ class TestKernelIrlsStep:
         grad_norm_sq = float((grad_b.gx**2 + grad_b.gy**2).sum())
         assert data_residual(grad_b, grad_s, k) <= 1e-8 * grad_norm_sq
 
-    def test_alpha_two_matches_dense_ridge(self):
+    def test_weighted_step_matches_dense_solve(self):
         rng = np.random.default_rng(5)
         signal = rng.random(9)
         s_img = signal[None, :]
@@ -215,7 +215,8 @@ class TestKernelIrlsStep:
         b_img = sd.convolve(s_img, k3, "spatial")
         grad_s = sd.gradients(s_img)
         grad_b = sd.gradients(b_img)
-        gamma = 0.05
+        gamma, alpha = 0.05, 1.0
+        k0 = np.array([[0.2, 0.6, 0.2]])
 
         def apply_data(kflat):
             k = kflat.reshape(1, 3)
@@ -225,10 +226,11 @@ class TestKernelIrlsStep:
 
         a = dense_from_operator(lambda e: apply_data(e.ravel()), (3,))
         b = np.concatenate([grad_b.gx.ravel(), grad_b.gy.ravel()])
-        ridge = np.linalg.solve(a.T @ a + gamma * np.eye(3), a.T @ b)
-        oracle, _ = sd.project_kernel(ridge[None, :])
-        params = KernelEstParams(gamma=gamma, alpha=2.0, mu=0.0, itr=1, irls_iters=3, cg_iters=50)
-        k = sd.kernel_irls_step(grad_b, grad_s, np.array([[0.0, 1.0, 0.0]]), params)
+        w = gamma * alpha * np.maximum(np.abs(k0.ravel()), kernel_est.IRLS_WEIGHT_FLOOR) ** (alpha - 2.0)
+        solution = np.linalg.solve(a.T @ a + 0.5 * np.diag(w), a.T @ b)
+        oracle, _ = sd.project_kernel(solution[None, :])
+        params = KernelEstParams(gamma=gamma, alpha=alpha, mu=0.0, itr=1, irls_iters=1, cg_iters=50)
+        k = sd.kernel_irls_step(grad_b, grad_s, k0, params)
         assert np.abs(k - oracle).max() <= 1e-6
 
     def test_residual_non_increasing_over_reweightings(self):

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,35 @@ class TestConfig:
             sd.DeblurConfig(kernel_size=9, decay=1.0).validate()
         with pytest.raises(sd.InvalidInputError):
             sd.DeblurConfig(kernel_size=9, inner_iters=0).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("mu", math.nan), ("theta0", math.inf), ("gamma", math.nan), ("lambda_c", math.nan),
+        ("weight_floor", math.nan), ("threshold", math.nan), ("decay", math.inf),
+        ("kernel_size", 7.0), ("itr", True), ("tv_iters", None), ("alpha", "0.5"),
+        ("shock_dt", 0.0), ("shock_steps", -1),
+    ])
+    def test_validate_rejects_non_finite_and_mistyped(self, key, value):
+        with pytest.raises(sd.InvalidInputError, match=key):
+            replace(sd.DeblurConfig(kernel_size=7), **{key: value}).validate()
+
+    def test_every_field_round_trips_through_config_text(self):
+        base = sd.DeblurConfig(kernel_size=7)
+        changed = {}
+        for f in fields(base):
+            value = getattr(base, f.name)
+            if value is None:
+                changed[f.name] = 0.25
+            elif isinstance(value, str):
+                changed[f.name] = "conjunction"
+            else:
+                changed[f.name] = value + 2 if isinstance(value, int) else value * 1.5
+        cfg = replace(base, **changed)
+        text = "\n".join("%s = %s" % (k, v) for k, v in changed.items())
+        parsed = parse_config_text(text)
+        assert parsed == cfg
+        for k, v in changed.items():
+            assert type(getattr(parsed, k)) is type(v)
+        assert parse_config_text("kernel_size = 7\nmu = none\nthreshold = None\n") == base
 
     def test_parse_config_text(self):
         cfg = parse_config_text("kernel_size = 11\ngamma = 0.02\nmask_rule = conjunction\n# comment\n\nmu = none\n")

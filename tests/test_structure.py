@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import salientdeblur as sd
-from salientdeblur.structure import StructureParams, tv_objective
+from salientdeblur.structure import tv_objective
 
 from oracles import condat_tv1d
 
@@ -212,13 +212,8 @@ class TestInitThreshold:
         assert counts == sorted(counts)
 
 
-def test_structure_params_validation():
-    StructureParams()
-    with pytest.raises(sd.InvalidInputError):
-        StructureParams(theta=0.0)
-    with pytest.raises(sd.InvalidInputError):
-        StructureParams(window=4)
-    with pytest.raises(sd.InvalidInputError):
-        StructureParams(shock_dt=1.5)
-    with pytest.raises(sd.InvalidInputError):
-        StructureParams(mask_rule="sometimes")
+def test_config_validates_structure_ranges():
+    sd.DeblurConfig(kernel_size=7).validate()
+    for bad in ({"theta0": 0.0}, {"window": 4}, {"shock_dt": 1.5}, {"mask_rule": "sometimes"}):
+        with pytest.raises(sd.InvalidInputError):
+            sd.DeblurConfig(kernel_size=7, **bad).validate()
