@@ -138,15 +138,15 @@ def _cmd_deconv(args) -> int:
     image = fileio.read_image(args.input)
     if args.method == "tv":
         if image.ndim == 2:
-            restored = tv_deconv(image, kernel, cfg.lambda_c, cfg.deconv_params())
+            restored = tv_deconv(image, kernel, cfg.lambda_c)
         else:
             restored = np.dstack([
-                tv_deconv(image[:, :, c], kernel, cfg.lambda_c, cfg.deconv_params())
+                tv_deconv(image[:, :, c], kernel, cfg.lambda_c)
                 for c in range(image.shape[2])
             ])
     else:
         _, _, _, grad_s = structure_pass(image, cfg)
-        restored = adaptive_deconv(image, kernel, grad_s, cfg.lambda_final, cfg.deconv_params())
+        restored = adaptive_deconv(image, kernel, grad_s, cfg.lambda_final)
     fileio.write_image(args.output, np.clip(restored, 0.0, 1.0), bit_depth=args.bit_depth)
     print("deconv: wrote %s" % args.output)
     return 0

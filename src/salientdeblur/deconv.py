@@ -89,6 +89,13 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
     return out
 
 
+def _finite_image(image) -> np.ndarray:
+    img = np.asarray(image, dtype=np.float64)
+    if not np.all(np.isfinite(img)):
+        raise InvalidInputError("deconv: image samples must be finite")
+    return img
+
+
 def deconv_objective(candidate, image, kernel, lam: float, grad_s: GradientField | None = None) -> float:
     """True (non-surrogate) restoration energy for a candidate latent image."""
     cand = np.asarray(candidate, dtype=np.float64)
@@ -111,7 +118,7 @@ def tv_deconv(image, kernel, lambda_c: float, params: DeconvParams | None = None
     iterate, floored), initialized at the blurred image itself.
     """
     params = params or DeconvParams()
-    img = np.asarray(image, dtype=np.float64)
+    img = _finite_image(image)
     if img.ndim != 2:
         raise InvalidInputError("deconv: tv_deconv expects a single-channel image")
     if lambda_c <= 0:
@@ -130,7 +137,7 @@ def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float,
     restored channel by channel with the same structure field.
     """
     params = params or DeconvParams()
-    img = np.asarray(image, dtype=np.float64)
+    img = _finite_image(image)
     if lam <= 0:
         raise InvalidInputError("deconv: lambda must be > 0")
     sx = np.asarray(grad_s[0], dtype=np.float64)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import _shift_zero, to_grayscale
-from .deconv import DeconvParams, tv_deconv
+from .deconv import tv_deconv
 from .errors import InvalidInputError
 from .fileio import read_image, read_kernel
 from .kernel_est import project_kernel
@@ -134,8 +134,7 @@ def error_ratio(restored, truth_restored, truth) -> float:
     return float(((i_r - i_g) ** 2).sum()) / denom
 
 
-def evaluate_kernels(k_est, k_true, blurred, sharp, lambda_c: float = COMMON_LAMBDA_C,
-                     params: DeconvParams | None = None) -> EvalReport:
+def evaluate_kernels(k_est, k_true, blurred, sharp, lambda_c: float = COMMON_LAMBDA_C) -> EvalReport:
     """Score an estimated kernel against ground truth on one case.
 
     Both restorations use the same TV deconvolver; the estimated kernel is
@@ -146,8 +145,8 @@ def evaluate_kernels(k_est, k_true, blurred, sharp, lambda_c: float = COMMON_LAM
     err, shift = ssde(k_est, k_true)
     aligned, _ = align_kernel(k_est, k_true)
     k_truth, _ = project_kernel(np.asarray(k_true, dtype=np.float64))
-    restored_est = tv_deconv(gray_blur, aligned, lambda_c, params)
-    restored_true = tv_deconv(gray_blur, k_truth, lambda_c, params)
+    restored_est = tv_deconv(gray_blur, aligned, lambda_c)
+    restored_true = tv_deconv(gray_blur, k_truth, lambda_c)
     return EvalReport(
         ssde=err,
         psnr_db=psnr(np.clip(restored_est, 0.0, 1.0), gray_sharp),
@@ -156,8 +155,7 @@ def evaluate_kernels(k_est, k_true, blurred, sharp, lambda_c: float = COMMON_LAM
     )
 
 
-def evaluate_case(case_dir, config: DeblurConfig | None = None,
-                  lambda_c: float = COMMON_LAMBDA_C) -> EvalReport:
+def evaluate_case(case_dir, config: DeblurConfig | None = None) -> EvalReport:
     """Run blind estimation on one dataset case directory and score it.
 
     The directory must hold ``blurred.png``, ``kernel_true.txt`` and
@@ -173,7 +171,7 @@ def evaluate_case(case_dir, config: DeblurConfig | None = None,
     if config is None:
         config = DeblurConfig(kernel_size=size)
     result = estimate_blur_kernel(blurred, config)
-    return evaluate_kernels(result.kernel, k_true, blurred, sharp, lambda_c=lambda_c)
+    return evaluate_kernels(result.kernel, k_true, blurred, sharp)
 
 
 def cumulative_table(ratios, thresholds=CUMULATIVE_THRESHOLDS):
@@ -184,8 +182,7 @@ def cumulative_table(ratios, thresholds=CUMULATIVE_THRESHOLDS):
     return [(float(t), float((values <= t).mean())) for t in thresholds]
 
 
-def evaluate_directory(root, csv_path=None, config: DeblurConfig | None = None,
-                       lambda_c: float = COMMON_LAMBDA_C):
+def evaluate_directory(root, csv_path=None, config: DeblurConfig | None = None):
     """Evaluate every case subdirectory under ``root``.
 
     Returns (list of (name, EvalReport), cumulative table).  Writes a CSV
@@ -199,7 +196,7 @@ def evaluate_directory(root, csv_path=None, config: DeblurConfig | None = None,
         raise InvalidInputError("eval: no case directories with blurred.png under %s" % root)
     results = []
     for case in cases:
-        results.append((case.name, evaluate_case(case, config=config, lambda_c=lambda_c)))
+        results.append((case.name, evaluate_case(case, config=config)))
     table = cumulative_table([rep.error_ratio for _, rep in results])
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:

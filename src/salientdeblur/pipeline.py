@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _shift_zero, delta_kernel, gradients, resample, resize, to_grayscale
-from .deconv import DeconvParams, adaptive_deconv, tv_deconv
+from .core import _shift_zero, as_image, delta_kernel, gradients, resample, resize, to_grayscale
+from .deconv import adaptive_deconv, tv_deconv
 from .errors import InvalidInputError, TexturelessImageError
 from .kernel_est import KernelEstParams, estimate_kernel, mu_schedule, project_kernel
 from .structure import (
@@ -38,8 +38,10 @@ _MAX_RELAX = 5
 
 @dataclass
 class DeblurConfig:
-    """Every tunable of the blind pipeline; defaults follow the method's
-    reference settings."""
+    """The model weights of the blind pipeline; defaults follow the method's
+    reference settings.  Solver budgets are the defaults of the solvers that
+    run them (``KernelEstParams``, ``DeconvParams``, ``adaptive_tv_denoise``,
+    ``shock_filter``)."""
 
     kernel_size: int
     theta0: float = 1.0
@@ -54,15 +56,6 @@ class DeblurConfig:
     mask_rule: str = "magnitude"
     mu: float | None = None          # None: size-based schedule per level
     threshold: float | None = None   # None: adaptive initialization
-    shock_dt: float = 1.0
-    shock_steps: int = 1
-    tv_iters: int = 100
-    tv_tol: float = 1e-3
-    irls_iters: int = 3
-    cg_iters_kernel: int = 25
-    cg_iters_interim: int = 30
-    cg_iters_final: int = 100
-    weight_floor: float = 0.001
 
     def validate(self) -> "DeblurConfig":
         for name, typ in _CONFIG_TYPES.items():
@@ -90,23 +83,13 @@ class DeblurConfig:
             raise InvalidInputError("config: mu must be >= 0")
         if self.threshold is not None and self.threshold < 0:
             raise InvalidInputError("config: threshold must be >= 0")
-        if not 0 < self.shock_dt <= 1:
-            raise InvalidInputError("config: shock_dt must be in (0, 1]")
-        if self.shock_steps < 0:
-            raise InvalidInputError("config: shock_steps must be >= 0")
-        # delegate the remaining ranges to the parameter bundles
+        # delegate the kernel-prior ranges to the kernel solver's bundle
         self.kernel_params(self.kernel_size)
-        self.deconv_params()
         return self
 
     def kernel_params(self, level_kernel_size: int) -> KernelEstParams:
         mu = self.mu if self.mu is not None else mu_schedule(level_kernel_size)
-        return KernelEstParams(gamma=self.gamma, alpha=self.alpha, mu=mu, itr=self.itr,
-                               irls_iters=self.irls_iters, cg_iters=self.cg_iters_kernel)
-
-    def deconv_params(self) -> DeconvParams:
-        return DeconvParams(irls_iters=self.irls_iters, cg_iters_interim=self.cg_iters_interim,
-                            cg_iters_final=self.cg_iters_final, weight_floor=self.weight_floor)
+        return KernelEstParams(gamma=self.gamma, alpha=self.alpha, mu=mu, itr=self.itr)
 
 
 # The schema of config files and CLI flags: every field's value type, read
@@ -245,8 +228,8 @@ def _extract_structure(image, omega, theta: float, threshold: float | None, kern
     appear.  Returns (structure, enhanced, threshold used, salient gradient
     field).
     """
-    structure = adaptive_tv_denoise(image, theta, omega, config.tv_iters, config.tv_tol)
-    enhanced = shock_filter(structure, config.shock_dt, config.shock_steps)
+    structure = adaptive_tv_denoise(image, theta, omega)
+    enhanced = shock_filter(structure)
     t = threshold
     if t is None:
         t = init_threshold(gradients(enhanced), enhanced.size, kernel_size ** 2)
@@ -262,14 +245,24 @@ def _extract_structure(image, omega, theta: float, threshold: float | None, kern
         "the image is textureless or constant")
 
 
+def _unit_image(image) -> np.ndarray:
+    """A finite image whose samples lie in [0, 1], as the blind pipeline expects."""
+    img = as_image(image)
+    if img.size and not 0.0 <= img.min() <= img.max() <= 1.0:
+        raise InvalidInputError("image: samples must lie in [0, 1], got [%g, %g]"
+                                % (img.min(), img.max()))
+    return img
+
+
 def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidResult:
     """Multi-scale kernel estimation (the blind half of the pipeline).
 
-    ``progress``, when given, is called as progress(level_index, inner_index,
-    kernel, threshold) after every inner iteration.
+    The image's samples must lie in [0, 1].  ``progress``, when given, is
+    called as progress(level_index, inner_index, kernel, threshold) after
+    every inner iteration.
     """
     config.validate()
-    gray = to_grayscale(image)
+    gray = to_grayscale(_unit_image(image))
     schedule = build_schedule(gray.shape, config.kernel_size, config.theta0,
                               config.decay, config.inner_iters)
     kernel = _initial_kernel(schedule.levels[0].kernel_size)
@@ -286,7 +279,6 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
         grad_b = gradients(blurred)
         omega = smooth_weight(r_map(blurred, config.window))
         kparams = config.kernel_params(level.kernel_size)
-        dparams = config.deconv_params()
         theta = level.theta
         for it in range(config.inner_iters):
             _, _, t, grad_s = _extract_structure(latent, omega, theta, t, level.kernel_size, config)
@@ -294,7 +286,7 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
             # canonical representative of the shift-ambiguous blur pair; the
             # interim deconvolution below rebuilds the latent consistently
             kernel, _ = project_kernel(_recenter_kernel(kernel))
-            latent = tv_deconv(blurred, kernel, config.lambda_c, dparams)
+            latent = tv_deconv(blurred, kernel, config.lambda_c)
             t = t / config.decay
             theta = theta / config.decay
             if progress is not None:
@@ -326,21 +318,22 @@ def deblur_blind(image, config: DeblurConfig, crop=None, progress=None):
 
     Estimates the kernel from the (optionally cropped) grayscale image, then
     restores the full image per channel with structure-adaptive weights.
-    ``crop`` is (x, y, w, h) in pixels.  Returns (kernel, restored, grad_s).
+    The whole image's samples must lie in [0, 1].  ``crop`` is (x, y, w, h)
+    in pixels.  Returns (kernel, restored, grad_s).
     """
     config.validate()
     img = np.asarray(image, dtype=np.float64)
+    _unit_image(img)
     if crop is not None:
         result = estimate_blur_kernel(crop_region(img, crop), config, progress=progress)
         # The crop's structure field does not cover the full frame; rebuild it
         # from an interim full-frame restoration at the final (t, theta).
         gray = to_grayscale(img)
-        interim = tv_deconv(gray, result.kernel, config.lambda_c, config.deconv_params())
+        interim = tv_deconv(gray, result.kernel, config.lambda_c)
         _, _, _, grad_s = structure_pass(np.clip(interim, 0.0, 1.0), config,
                                          theta=result.theta, threshold=result.threshold)
     else:
         result = estimate_blur_kernel(img, config, progress=progress)
         grad_s = result.grad_s
-    restored = adaptive_deconv(img, result.kernel, grad_s, config.lambda_final,
-                               config.deconv_params())
+    restored = adaptive_deconv(img, result.kernel, grad_s, config.lambda_final)
     return result.kernel, np.clip(restored, 0.0, 1.0), grad_s

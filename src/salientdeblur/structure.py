@@ -92,6 +92,8 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
         raise InvalidInputError("structure: adaptive_tv_denoise expects a single-channel image")
     if theta <= 0:
         raise InvalidInputError("structure: theta must be > 0")
+    if max_iters < 0 or tol < 0:
+        raise InvalidInputError("structure: max_iters and tol must be >= 0")
     if omega is None:
         lam = np.full_like(f, theta)
     else:

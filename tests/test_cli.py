@@ -78,6 +78,24 @@ class TestErrors:
         assert rc == 2
         assert "no_such_key" in capsys.readouterr().err
 
+    def test_solver_budget_config_key_exit_2(self, tmp_path, capsys):
+        # solver budgets are fixed in their solvers, not config keys
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("kernel_size = 7\ncg_iters_final = 50\n")
+        img = tmp_path / "img.png"
+        sd.write_image(img, sd.test_chart(64))
+        rc = run(["deblur", "--input", str(img), "--output", str(tmp_path / "o.png"),
+                  "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown key 'cg_iters_final'" in capsys.readouterr().err
+
+    def test_solver_budget_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["deblur", "--input", str(tmp_path / "a.png"), "--output", str(tmp_path / "o.png"),
+                 "--kernel-size", "7", "--tv-iters", "40"])
+        assert info.value.code == 2
+        assert "--tv-iters" in capsys.readouterr().err
+
     def test_non_finite_config_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("kernel_size = 7\nmu = nan\n")
@@ -216,7 +234,7 @@ class TestEndToEnd:
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("kernel_size = 7\ninner_iters = 2\ntv_iters = 40\n")
+        cfg.write_text("kernel_size = 7\ninner_iters = 2\nwindow = 7\n")
         blurred = sd.synthesize(sd.test_chart(96), sd.kernel_preset("line-h", 7),
                                 noise_sigma=0.005, seed=8)
         bpath = tmp_path / "b.png"

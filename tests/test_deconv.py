@@ -175,6 +175,29 @@ def test_normal_operator_positive_semidefinite_sampled():
         assert float(np.sum(op.adjoint(op.forward(u)) * u)) >= -1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_image_is_invalid_input(bad):
+    img = np.full((12, 12), 0.5)
+    img[3, 4] = bad
+    k = np.full((3, 3), 1.0 / 9.0)
+    grad_s = sd.gradients(np.zeros((12, 12)))
+    with pytest.raises(sd.InvalidInputError, match="finite"):
+        sd.tv_deconv(img, k, 0.005)
+    with pytest.raises(sd.InvalidInputError, match="finite"):
+        sd.adaptive_deconv(img, k, grad_s, 0.003)
+    with pytest.raises(sd.InvalidInputError, match="finite"):
+        sd.adaptive_deconv(np.dstack([img, img, img]), k, grad_s, 0.003)
+
+
+def test_single_channel_stack_keeps_its_shape():
+    img = np.random.default_rng(8).random((12, 12, 1))
+    k = np.full((3, 3), 1.0 / 9.0)
+    grad_s = sd.gradients(img[:, :, 0])
+    out = sd.adaptive_deconv(img, k, grad_s, 0.003)
+    assert out.shape == (12, 12, 1)
+    assert np.array_equal(out[:, :, 0], sd.adaptive_deconv(img[:, :, 0], k, grad_s, 0.003))
+
+
 def test_deconv_params_validation():
     DeconvParams()
     with pytest.raises(sd.InvalidInputError):

@@ -84,9 +84,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("mu", math.nan), ("theta0", math.inf), ("gamma", math.nan), ("lambda_c", math.nan),
-        ("weight_floor", math.nan), ("threshold", math.nan), ("decay", math.inf),
-        ("kernel_size", 7.0), ("itr", True), ("tv_iters", None), ("alpha", "0.5"),
-        ("shock_dt", 0.0), ("shock_steps", -1),
+        ("lambda_final", math.nan), ("threshold", math.nan), ("decay", math.inf),
+        ("kernel_size", 7.0), ("itr", True), ("inner_iters", None), ("alpha", "0.5"),
+        ("window", 5.0), ("alpha", math.inf),
     ])
     def test_validate_rejects_non_finite_and_mistyped(self, key, value):
         with pytest.raises(sd.InvalidInputError, match=key):
@@ -222,6 +222,32 @@ class TestPipeline:
         chart = sd.test_chart(96)
         with pytest.raises(sd.InvalidInputError):
             sd.deblur_blind(chart, sd.DeblurConfig(kernel_size=7), crop=(90, 90, 50, 50))
+
+    def test_blind_entry_points_reject_out_of_range_samples(self):
+        # an 8-bit chart left at 0..255 would otherwise give a wrong kernel without an error
+        blurred = sd.synthesize(sd.test_chart(96), sd.kernel_preset("line-d", 7),
+                                noise_sigma=0.01, seed=1)
+        cfg = sd.DeblurConfig(kernel_size=7)
+        for bad in (blurred * 255.0, blurred - 0.5):
+            with pytest.raises(sd.InvalidInputError, match=r"\[0, 1\]"):
+                sd.estimate_blur_kernel(bad, cfg)
+            with pytest.raises(sd.InvalidInputError, match=r"\[0, 1\]"):
+                sd.deblur_blind(bad, cfg)
+        # the whole frame is checked, not only the crop the kernel comes from
+        outside = blurred.copy()
+        outside[0, 0] = 1.5
+        with pytest.raises(sd.InvalidInputError, match=r"\[0, 1\]"):
+            sd.deblur_blind(outside, cfg, crop=(16, 16, 64, 64))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_blind_entry_points_reject_non_finite_samples(self, bad):
+        blurred = sd.test_chart(64)
+        blurred[5, 5] = bad
+        cfg = sd.DeblurConfig(kernel_size=7)
+        with pytest.raises(sd.InvalidInputError, match="finite"):
+            sd.estimate_blur_kernel(blurred, cfg)
+        with pytest.raises(sd.InvalidInputError, match="finite"):
+            sd.deblur_blind(blurred, cfg, crop=(16, 16, 40, 40))
 
 
 _BLIND_RUN = """

@@ -100,6 +100,13 @@ class TestAdaptiveTV:
         with pytest.raises(sd.InvalidInputError):
             sd.adaptive_tv_denoise(img, 0.1, np.full((5, 5), 1.5))
 
+    @pytest.mark.parametrize("max_iters, tol", [(-1, 1e-3), (100, -1e-3)])
+    def test_rejects_negative_budget(self, max_iters, tol):
+        # max_iters = -1 would run no iteration and silently return the input
+        img = np.random.default_rng(3).random((8, 8))
+        with pytest.raises(sd.InvalidInputError, match="max_iters and tol"):
+            sd.adaptive_tv_denoise(img, 0.1, None, max_iters, tol)
+
 
 class TestShockFilter:
     def test_zero_steps_identity(self):
@@ -214,6 +221,9 @@ class TestInitThreshold:
 
 def test_config_validates_structure_ranges():
     sd.DeblurConfig(kernel_size=7).validate()
-    for bad in ({"theta0": 0.0}, {"window": 4}, {"shock_dt": 1.5}, {"mask_rule": "sometimes"}):
+    for bad in ({"theta0": 0.0}, {"window": 4}, {"mask_rule": "sometimes"}):
         with pytest.raises(sd.InvalidInputError):
             sd.DeblurConfig(kernel_size=7, **bad).validate()
+    # the shock step is no config key; its own range check guards it
+    with pytest.raises(sd.InvalidInputError, match="dt"):
+        sd.shock_filter(np.zeros((5, 5)), 1.5)
