@@ -84,14 +84,19 @@ def _check_kernel_shape(kernel: np.ndarray) -> None:
         raise InvalidInputError("kernel: side lengths must be odd, got %s" % (kernel.shape,))
 
 
+def _check_kernel_weights(kernel: np.ndarray) -> None:
+    """Odd sides, finite and non-negative weights; the sum is not checked."""
+    _check_kernel_shape(kernel)
+    if not np.all(np.isfinite(kernel)):
+        raise InvalidInputError("kernel: weights must be finite")
+    if np.any(kernel < 0):
+        raise InvalidInputError("kernel: weights must be non-negative")
+
+
 def check_kernel(kernel) -> np.ndarray:
     """Validate kernel invariants (odd sides, non-negative, unit sum)."""
     k = np.asarray(kernel, dtype=np.float64)
-    _check_kernel_shape(k)
-    if not np.all(np.isfinite(k)):
-        raise InvalidInputError("kernel: weights must be finite")
-    if np.any(k < 0):
-        raise InvalidInputError("kernel: weights must be non-negative")
+    _check_kernel_weights(k)
     if abs(k.sum() - 1.0) > KERNEL_SUM_TOL:
         raise InvalidInputError("kernel: weights must sum to 1 (got %.3e)" % k.sum())
     return k

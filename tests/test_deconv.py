@@ -49,6 +49,60 @@ class TestCgSolve:
             sd.cg_solve(bad, np.ones(3), 5)
 
 
+def random_spd(rng, n=10):
+    m = rng.normal(size=(n, n))
+    return m.T @ m + np.eye(n)
+
+
+class TestCgSolveWarmStart:
+    def test_exact_solution_is_returned(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            a = random_spd(rng)
+            x_true = rng.normal(size=10)
+            x = sd.cg_solve(lambda v: a @ v, a @ x_true, 10, x0=x_true)
+            assert np.allclose(x, x_true, rtol=0, atol=1e-12)
+
+    def test_random_start_matches_direct_solve(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            a = random_spd(rng)
+            b = rng.normal(size=10)
+            x0 = rng.normal(size=10)
+            x = sd.cg_solve(lambda v: a @ v, b, 10, x0=x0)
+            assert np.linalg.norm(a @ x - b) <= 1e-8
+            assert np.allclose(x, np.linalg.solve(a, b), atol=1e-7)
+
+    def test_zero_rhs_iterates_from_nonzero_start(self):
+        d = np.array([1.0, 2.0, 4.0])
+        x0 = np.array([1.0, -2.0, 3.0])
+        x = sd.cg_solve(lambda v: d * v, np.zeros(3), 3, x0=x0)
+        assert np.abs(x).max() <= 1e-12
+
+    def test_start_is_not_mutated(self):
+        rng = np.random.default_rng(12)
+        a = random_spd(rng)
+        x0 = rng.normal(size=10)
+        kept = x0.copy()
+        x = sd.cg_solve(lambda v: a @ v, rng.normal(size=10), 5, x0=x0)
+        assert np.array_equal(x0, kept)
+        assert x is not x0
+
+    def test_start_counts_one_operator_application(self):
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            return 2.0 * v
+
+        sd.cg_solve(counted, np.ones(4), 1, x0=np.zeros(4) + 0.25)
+        assert len(calls) == 2
+
+    def test_mismatched_start_shape_is_invalid_input(self):
+        with pytest.raises(sd.InvalidInputError, match="x0"):
+            sd.cg_solve(lambda v: v, np.ones(4), 5, x0=np.ones(3))
+
+
 class TestTvDeconv:
     def test_delta_kernel_tiny_lambda(self):
         blurred = np.random.default_rng(1).random((32, 32))
@@ -87,15 +141,27 @@ class TestTvDeconv:
                     assert obj <= prev + 1e-6
                 prev = obj
 
+    def test_cold_start_core_bitwise(self):
+        # the interim restoration must not pick up the final one's warm start
+        _, kernel, blurred = step_edge_instance()
+        params = DeconvParams()
+        tv = sd.tv_deconv(blurred, kernel, 0.005, params)
+        core = _irls_deconv_single(blurred, BlurOperator(kernel, blurred.shape), 0.005, 1.0, 1.0,
+                                   params.irls_iters, params.cg_iters_interim, params.weight_floor,
+                                   warm_start=False)
+        assert np.array_equal(tv, core)
+
 
 class TestAdaptiveDeconv:
-    def test_zero_structure_matches_tv_bitwise(self):
+    def test_zero_structure_matches_warm_core_bitwise(self):
         _, kernel, blurred = step_edge_instance()
         zeros = sd.GradientField(np.zeros_like(blurred), np.zeros_like(blurred))
-        params = DeconvParams(cg_iters_final=30)  # equal inner budgets
+        params = DeconvParams()
         adaptive = sd.adaptive_deconv(blurred, kernel, zeros, 0.005, params)
-        tv = sd.tv_deconv(blurred, kernel, 0.005, params)
-        assert np.array_equal(adaptive, tv)
+        core = _irls_deconv_single(blurred, BlurOperator(kernel, blurred.shape), 0.005, 1.0, 1.0,
+                                   params.irls_iters, params.cg_iters_final, params.weight_floor,
+                                   warm_start=True)
+        assert np.array_equal(adaptive, core)
 
     def test_delta_kernel_tiny_lambda(self):
         blurred = np.random.default_rng(3).random((24, 24))
@@ -143,6 +209,28 @@ class TestAdaptiveDeconv:
         assert np.array_equal(out[:, :, 1], single)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_warm_start_objective_non_increasing(weighted):
+    rng = np.random.default_rng(13 + weighted)
+    for _ in range(50):
+        sharp = rng.random((16, 16))
+        k = rng.random((3, 3))
+        k /= k.sum()
+        blurred = sd.convolve(sharp, k, "fft") + rng.normal(0, 0.01, (16, 16))
+        lam = 10 ** rng.uniform(-3, -1.5)
+        grad_s = sd.gradients(sharp) if weighted else None
+        wx = np.exp(-np.abs(grad_s.gx) ** 0.8) if weighted else 1.0
+        wy = np.exp(-np.abs(grad_s.gy) ** 0.8) if weighted else 1.0
+        op = BlurOperator(k, blurred.shape)
+        prev = None
+        for iters in (1, 2, 3):
+            out = _irls_deconv_single(blurred, op, lam, wx, wy, iters, 30, 1e-3, warm_start=True)
+            obj = deconv_objective(out, blurred, k, lam, grad_s)
+            if prev is not None:
+                assert obj <= prev + 1e-6
+            prev = obj
+
+
 def test_normal_operator_symmetry():
     rng = np.random.default_rng(6)
     k = rng.random((5, 5))
@@ -187,6 +275,36 @@ def test_non_finite_image_is_invalid_input(bad):
         sd.adaptive_deconv(img, k, grad_s, 0.003)
     with pytest.raises(sd.InvalidInputError, match="finite"):
         sd.adaptive_deconv(np.dstack([img, img, img]), k, grad_s, 0.003)
+
+
+@pytest.mark.parametrize("bad, match", [(np.nan, "finite"), (np.inf, "finite"),
+                                        (-0.1, "non-negative")])
+def test_bad_kernel_is_invalid_input(bad, match):
+    img = np.random.default_rng(9).random((12, 12))
+    k = np.full((3, 3), 1.0 / 9.0)
+    k[0, 1] = bad
+    grad_s = sd.gradients(img)
+    with pytest.raises(sd.InvalidInputError, match=match):
+        sd.tv_deconv(img, k, 0.005)
+    with pytest.raises(sd.InvalidInputError, match=match):
+        sd.adaptive_deconv(img, k, grad_s, 0.003)
+
+
+def test_unnormalized_kernel_is_accepted():
+    img = np.random.default_rng(9).random((12, 12))
+    out = sd.tv_deconv(img, np.full((3, 3), 0.2), 0.005)
+    assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_structure_is_invalid_input(bad):
+    img = np.random.default_rng(9).random((12, 12))
+    k = np.full((3, 3), 1.0 / 9.0)
+    gx = np.zeros((12, 12))
+    gx[5, 6] = bad
+    for grad_s in (sd.GradientField(gx, np.zeros((12, 12))), sd.GradientField(np.zeros((12, 12)), gx)):
+        with pytest.raises(sd.InvalidInputError, match="structure field must be finite"):
+            sd.adaptive_deconv(img, k, grad_s, 0.003)
 
 
 def test_single_channel_stack_keeps_its_shape():
