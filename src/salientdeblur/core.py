@@ -2,6 +2,11 @@
 replicate-boundary convolution (spatial and frequency paths), bilinear
 resampling, and gradient-domain (Poisson) reconstruction.
 
+``BlurOperator`` is the blur that the solvers iterate on: ``forward`` and
+``adjoint`` return new arrays, and ``normal`` computes adjoint(forward(u))
+on buffers the operator keeps, returning a view that the next call
+overwrites.
+
 Images are float64 arrays in [0, 1], shaped (h, w) for a single channel or
 (h, w, 3) for color.  Gradient fields pair the x- and y-derivative grids.
 Blur kernels are small odd-sided 2D arrays, non-negative and summing to one.
@@ -75,6 +80,12 @@ def divergence(g: GradientField) -> np.ndarray:
         div[1:-1, :] += gy[1:-1, :] - gy[:-2, :]
         div[-1, :] -= gy[-2, :]
     return div
+
+
+def _check_count(value, least: int, what: str) -> None:
+    """An iteration budget: an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidInputError("%s must be an integer >= %d, got %r" % (what, least, value))
 
 
 def _check_kernel_shape(kernel: np.ndarray) -> None:
@@ -153,25 +164,40 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _pad_replicate(a: np.ndarray, ry: int, rx: int) -> np.ndarray:
-    if ry == 0 and rx == 0:
-        return a
-    return np.pad(a, ((ry, ry), (rx, rx)), mode="edge")
+def _pad_replicate(a: np.ndarray, ry: int, rx: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Pad by ``ry`` rows and ``rx`` columns on each side, repeating the edge.
+
+    Writes into ``out`` when given; otherwise returns a new array, or ``a``
+    itself when there is nothing to pad.
+    """
+    a = np.asarray(a)
+    h, w = a.shape
+    if out is None:
+        if ry == 0 and rx == 0:
+            return a
+        out = np.empty((h + 2 * ry, w + 2 * rx), dtype=a.dtype)
+    out[ry : ry + h, rx : rx + w] = a
+    out[:ry, rx : rx + w] = a[0]
+    out[ry + h :, rx : rx + w] = a[-1]
+    out[:, :rx] = out[:, rx : rx + 1]
+    out[:, rx + w :] = out[:, rx + w - 1 : rx + w]
+    return out
 
 
 def _fold_replicate(q: np.ndarray, ry: int, rx: int) -> np.ndarray:
-    """Adjoint of replicate padding: margins fold back onto the edge pixels."""
+    """Adjoint of replicate padding: margins fold back onto the edge pixels.
+
+    Folds in place and returns the core as a view of ``q``.
+    """
+    h, w = q.shape[0] - 2 * ry, q.shape[1] - 2 * rx
     if ry > 0:
-        core = q[ry:-ry, :].copy()
-        core[0, :] += q[:ry, :].sum(axis=0)
-        core[-1, :] += q[-ry:, :].sum(axis=0)
-        q = core
+        q[ry, :] += q[:ry, :].sum(axis=0)
+        q[ry + h - 1, :] += q[ry + h :, :].sum(axis=0)
+    core = q[ry : ry + h, :]
     if rx > 0:
-        core = q[:, rx:-rx].copy()
-        core[:, 0] += q[:, :rx].sum(axis=1)
-        core[:, -1] += q[:, -rx:].sum(axis=1)
-        q = core
-    return q
+        core[:, rx] += core[:, :rx].sum(axis=1)
+        core[:, rx + w - 1] += core[:, rx + w :].sum(axis=1)
+    return core[:, rx : rx + w]
 
 
 def _conv_spatial(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -212,7 +238,10 @@ class BlurOperator:
     """Blur by a fixed kernel on a fixed single-channel shape, plus its adjoint.
 
     Caches the kernel's frequency response so repeated applications inside
-    iterative solvers cost two transforms each.
+    iterative solvers cost two transforms each.  ``normal`` applies
+    adjoint(forward(.)) in one pass on buffers the operator keeps between
+    calls; they are allocated on its first call, so an operator that only
+    runs ``forward`` holds none.  Not safe to share between threads.
     """
 
     def __init__(self, kernel, shape):
@@ -226,6 +255,7 @@ class BlurOperator:
         self._ry, self._rx = kh // 2, kw // 2
         self._fh, self._fw = _fast_len(h + kh - 1), _fast_len(w + kw - 1)
         self._fk = np.fft.rfft2(self.kernel, s=(self._fh, self._fw))
+        self._bufs = None
 
     def forward(self, img: np.ndarray) -> np.ndarray:
         h, w = self.shape
@@ -241,6 +271,47 @@ class BlurOperator:
         emb[kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w] = img
         q = np.fft.irfft2(np.fft.rfft2(emb) * np.conj(self._fk), s=(self._fh, self._fw))
         return _fold_replicate(q[: h + 2 * self._ry, : w + 2 * self._rx], self._ry, self._rx)
+
+    def normal(self, u: np.ndarray) -> np.ndarray:
+        """``adjoint(forward(u))``, bitwise, without allocating an image-size array.
+
+        The 2-D transforms run axis by axis into the kept buffers, skipping
+        the row transforms whose input is known zero or whose output the
+        crop discards.  The result is a view of those buffers: it stays
+        valid only until the next call.  ``u`` is not modified.
+        """
+        h, w = self.shape
+        kh, kw = self.kernel.shape
+        ry, rx, fw = self._ry, self._rx, self._fw
+        if self._bufs is None:
+            self._bufs = (np.empty((h + 2 * ry, w + 2 * rx)),
+                          np.empty((self._fh, fw // 2 + 1), dtype=np.complex128),
+                          np.empty((self._fh, fw)))
+        pad, spec, real = self._bufs
+        hp = h + 2 * ry
+        crop = slice(kh - 1, kh - 1 + h)  # rows forward keeps, the rows adjoint embeds
+        # forward: replicate pad, transform, multiply, inverse on the kept rows
+        np.fft.rfft(_pad_replicate(u, ry, rx, out=pad), n=fw, axis=1, out=spec[:hp])
+        spec[hp:] = 0.0
+        np.fft.fft(spec, axis=0, out=spec)
+        np.multiply(spec, self._fk, out=spec)
+        np.fft.ifft(spec, axis=0, out=spec)
+        np.fft.irfft(spec[crop], n=fw, axis=1, out=real[crop])
+        # adjoint: zero all but the crop, transform, multiply by the
+        # conjugate response, inverse on the padded rows, fold the margins
+        real[crop, : kw - 1] = 0.0
+        real[crop, kw - 1 + w :] = 0.0
+        np.fft.rfft(real[crop], axis=1, out=spec[crop])
+        spec[: kh - 1] = 0.0
+        spec[kh - 1 + h :] = 0.0
+        np.fft.fft(spec, axis=0, out=spec)
+        # conjugate the response in place and back: exact, and no copy of it
+        np.negative(self._fk.imag, out=self._fk.imag)
+        np.multiply(spec, self._fk, out=spec)
+        np.negative(self._fk.imag, out=self._fk.imag)
+        np.fft.ifft(spec, axis=0, out=spec)
+        np.fft.irfft(spec[:hp], n=fw, axis=1, out=real[:hp])
+        return _fold_replicate(real[:hp, : w + 2 * rx], ry, rx)
 
 
 def resize(img, shape) -> np.ndarray:

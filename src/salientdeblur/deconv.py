@@ -8,6 +8,9 @@ fixed budget of conjugate-gradient iterations on the normal equations.  The
 interim restoration starts every reweighting's CG from zero; the final one
 starts it from the previous iterate, the point where the weights were taken,
 so each reweighting is a majorize-minimize descent step on the true energy.
+A CG step allocates no image-size array: the blur's normal operator and the
+regularizer write into buffers kept for the whole restoration, and the CG
+vectors update in place, with the same arithmetic as the plain expressions.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlurOperator, GradientField, _check_kernel_weights, _inner, divergence, gradients
+from .core import BlurOperator, GradientField, _check_count, _check_kernel_weights, _inner, gradients
 from .errors import InvalidInputError, NumericalError
 
 
@@ -30,10 +33,8 @@ class DeconvParams:
     weight_floor: float = 0.001
 
     def __post_init__(self):
-        if self.irls_iters < 1:
-            raise InvalidInputError("deconv: irls_iters must be >= 1")
-        if self.cg_iters_interim < 1 or self.cg_iters_final < 1:
-            raise InvalidInputError("deconv: CG iteration counts must be >= 1")
+        for name in ("irls_iters", "cg_iters_interim", "cg_iters_final"):
+            _check_count(getattr(self, name), 1, "deconv: " + name)
         if self.weight_floor <= 0:
             raise InvalidInputError("deconv: weight_floor must be > 0")
 
@@ -42,12 +43,17 @@ def cg_solve(apply_a, b: np.ndarray, iters: int, tol: float = 1e-10, *,
              x0: np.ndarray | None = None) -> np.ndarray:
     """Conjugate gradients with a fixed iteration budget.
 
-    Starts from zero, or from a copy of ``x0`` (left unmodified); the initial
-    residual ``b - A x0`` costs one application of ``apply_a``, which must
-    behave as a symmetric positive semidefinite operator on arrays shaped
-    like ``b``.  Exits early once the residual norm falls below
-    ``tol * ||b||``; raises NumericalError if a step scalar turns non-finite.
+    ``iters`` is a non-negative integer; 0 returns the start.  Starts from
+    zero, or from a copy of ``x0`` (left unmodified); the initial residual
+    ``b - A x0`` costs one application of ``apply_a``, which must behave as
+    a symmetric positive semidefinite operator on arrays shaped like ``b``.
+    ``apply_a`` may return a buffer it overwrites on its next call: each
+    result is used up before the next application.  The vector updates run
+    in place, so a step allocates nothing beyond what ``apply_a`` does.
+    Exits early once the residual norm falls below ``tol * ||b||``; raises
+    NumericalError if a step scalar turns non-finite.
     """
+    _check_count(iters, 0, "conjugate-gradient: iters")
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
@@ -58,6 +64,7 @@ def cg_solve(apply_a, b: np.ndarray, iters: int, tol: float = 1e-10, *,
                                     % (x.shape, b.shape))
         r = b - apply_a(x)
     p = r.copy()
+    step = np.empty_like(r)
     rs = _inner(r, r)
     b_norm = np.sqrt(rs) if x0 is None else np.sqrt(_inner(b, b))
     if rs == 0.0:
@@ -70,14 +77,14 @@ def cg_solve(apply_a, b: np.ndarray, iters: int, tol: float = 1e-10, *,
         alpha = rs / denom
         if not np.isfinite(alpha):
             raise NumericalError("conjugate-gradient: non-finite step scalar")
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         rs_new = _inner(r, r)
         if not np.isfinite(rs_new):
             raise NumericalError("conjugate-gradient: non-finite residual")
         if np.sqrt(rs_new) < tol * b_norm:
             break
-        p = r + (rs_new / rs) * p
+        np.add(r, np.multiply(rs_new / rs, p, out=p), out=p)
         rs = rs_new
     return x
 
@@ -87,15 +94,34 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
                         warm_start: bool = False) -> np.ndarray:
     rhs = op.adjoint(image)
     out = image.copy()
+    h, w = image.shape
+    # The regularizer runs on buffers kept for the whole call.  It repeats
+    # the arithmetic of gradients() and divergence() slice by slice, so each
+    # sum rounds as theirs do; tx and ty drop the zero last column and row
+    # of the gradients, which the divergence never reads.
+    tx = np.empty((h, w - 1))
+    ty = np.empty((h - 1, w))
+    div = np.empty((h, w))
+    diff = np.empty((h, w))
+    scale = -0.5 * lam  # (0.5 * lam) * (-div), with the exact negation moved
     for _ in range(irls_iters):
         g = gradients(out)
-        wx = wx_base / np.maximum(np.abs(g.gx), floor)
-        wy = wy_base / np.maximum(np.abs(g.gy), floor)
+        wx = (wx_base / np.maximum(np.abs(g.gx), floor))[:, :-1]
+        wy = (wy_base / np.maximum(np.abs(g.gy), floor))[:-1, :]
 
         def apply_a(u):
-            gu = gradients(u)
-            reg = -divergence(GradientField(wx * gu.gx, wy * gu.gy))
-            return op.adjoint(op.forward(u)) + (0.5 * lam) * reg
+            np.multiply(wx, np.subtract(u[:, 1:], u[:, :-1], out=tx), out=tx)
+            np.multiply(wy, np.subtract(u[1:, :], u[:-1, :], out=ty), out=ty)
+            div.fill(0.0)
+            if w >= 2:
+                div[:, 0] += tx[:, 0]
+                div[:, 1:-1] += np.subtract(tx[:, 1:], tx[:, :-1], out=diff[:, 1:-1])
+                div[:, -1] -= tx[:, -1]
+            if h >= 2:
+                div[0, :] += ty[0, :]
+                div[1:-1, :] += np.subtract(ty[1:, :], ty[:-1, :], out=diff[1:-1, :])
+                div[-1, :] -= ty[-1, :]
+            return np.add(op.normal(u), np.multiply(scale, div, out=div), out=div)
 
         out = cg_solve(apply_a, rhs, cg_iters, x0=out if warm_start else None)
         if not np.all(np.isfinite(out)):

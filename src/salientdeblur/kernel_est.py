@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GradientField, _pad_replicate, convolve, delta_kernel, gradients, periodic_gradients
+from .core import (GradientField, _check_count, _pad_replicate, convolve, delta_kernel, gradients,
+                   periodic_gradients)
 from .deconv import cg_solve
 from .errors import DegenerateStructureError, InvalidInputError, NumericalError
 
@@ -48,8 +49,8 @@ class KernelEstParams:
             raise InvalidInputError("kernel-estimation: alpha must be in (0, 1]")
         if self.mu < 0:
             raise InvalidInputError("kernel-estimation: mu must be >= 0")
-        if self.itr < 1 or self.irls_iters < 1 or self.cg_iters < 1:
-            raise InvalidInputError("kernel-estimation: iteration counts must be >= 1")
+        for name in ("itr", "irls_iters", "cg_iters"):
+            _check_count(getattr(self, name), 1, "kernel-estimation: " + name)
 
 
 def mu_schedule(kernel_size: int) -> float:

@@ -286,7 +286,9 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
             # canonical representative of the shift-ambiguous blur pair; the
             # interim deconvolution below rebuilds the latent consistently
             kernel, _ = project_kernel(_recenter_kernel(kernel))
-            latent = tv_deconv(blurred, kernel, config.lambda_c)
+            # nothing reads the latent of the last level's last iteration
+            if li + 1 < len(schedule.levels) or it + 1 < config.inner_iters:
+                latent = tv_deconv(blurred, kernel, config.lambda_c)
             t = t / config.decay
             theta = theta / config.decay
             if progress is not None:

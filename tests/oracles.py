@@ -3,8 +3,9 @@
 These deliberately avoid the library's own solution paths: the 1D TV
 problem is solved exactly by a taut-string sweep, convolution by naive
 loops, linear operators by dense matrix assembly + direct solve, the kernel
-fit's normal operator by image-size FFTs, and PNG row filtering by a per-byte
-encoder that follows the PNG specification.
+fit's normal operator by image-size FFTs, the restorations' buffered IRLS
+core by plain allocating array expressions, and PNG row filtering
+by a per-byte encoder that follows the PNG specification.
 """
 
 import struct
@@ -179,6 +180,63 @@ class FFTEdgeSystem:
 
     def residual(self, kernel):
         return sum(float(((self._convolve(fs, kernel) - b) ** 2).sum()) for fs, b in zip(self._fs, self._b))
+
+
+def _cg_allocating(apply_a, b, iters, x0=None, tol=1e-10):
+    """The conjugate-gradient loop of ``irls_deconv_allocating``: the
+    library's arithmetic, with a fresh array for every vector update."""
+
+    def inner(a, c):
+        return float(np.einsum("i,i->", np.ravel(a), np.ravel(c)))
+
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=np.float64)
+        r = b - apply_a(x)
+    p = r.copy()
+    rs = inner(r, r)
+    b_norm = np.sqrt(rs) if x0 is None else np.sqrt(inner(b, b))
+    if rs == 0.0:
+        return x
+    for _ in range(iters):
+        ap = apply_a(p)
+        denom = inner(p, ap)
+        if denom == 0.0:
+            break
+        alpha = rs / denom
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = inner(r, r)
+        if np.sqrt(rs_new) < tol * b_norm:
+            break
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x
+
+
+def irls_deconv_allocating(image, op, lam, wx_base, wy_base, irls_iters, cg_iters, floor,
+                           warm_start=False):
+    """The IRLS restoration core as plain array expressions: the normal
+    operator as adjoint(forward(.)), the regularizer through the library's
+    gradients() and divergence(), and new arrays at every step."""
+    from salientdeblur.core import GradientField, divergence, gradients
+
+    rhs = op.adjoint(image)
+    out = image.copy()
+    for _ in range(irls_iters):
+        g = gradients(out)
+        wx = wx_base / np.maximum(np.abs(g.gx), floor)
+        wy = wy_base / np.maximum(np.abs(g.gy), floor)
+
+        def apply_a(u):
+            gu = gradients(u)
+            reg = -divergence(GradientField(wx * gu.gx, wy * gu.gy))
+            return op.adjoint(op.forward(u)) + (0.5 * lam) * reg
+
+        out = _cg_allocating(apply_a, rhs, cg_iters, x0=out if warm_start else None)
+    return out
 
 
 def _paeth(a, b, c):

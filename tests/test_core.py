@@ -154,6 +154,49 @@ class TestConvolve:
         assert np.array_equal(op.forward(img), sd.convolve(img, k, "fft"))
 
 
+class TestNormalOperator:
+    # (frame, kernel): square and non-square frames, a 1x1 kernel, a kernel
+    # as large as the frame, 1xN and Nx1 strips, and non-square kernels
+    CASES = [((31, 31), (7, 7)), ((23, 37), (5, 5)), ((12, 9), (1, 1)), ((9, 7), (9, 7)),
+             ((1, 20), (1, 5)), ((20, 1), (5, 1)), ((25, 30), (3, 5)), ((30, 25), (5, 3))]
+
+    @pytest.mark.parametrize("shape,kshape", CASES)
+    def test_equals_adjoint_of_forward_bitwise(self, shape, kshape):
+        rng = np.random.default_rng(12)
+        k = rng.random(kshape)
+        op = sd.BlurOperator(k / k.sum(), shape)
+        for _ in range(3):  # repeated calls on one operator's buffers
+            u = rng.normal(size=shape)
+            kept = u.copy()
+            assert np.array_equal(op.normal(u), op.adjoint(op.forward(u)))
+            assert np.array_equal(u, kept)
+
+    def test_operators_do_not_share_buffers(self):
+        rng = np.random.default_rng(13)
+        k = np.full((5, 5), 1.0 / 25.0)
+        first, second = sd.BlurOperator(k, (16, 18)), sd.BlurOperator(k, (16, 18))
+        u, v = rng.random((16, 18)), rng.random((16, 18))
+        nu = first.normal(u)
+        second.normal(v)
+        assert np.array_equal(nu, first.adjoint(first.forward(u)))
+
+    def test_steady_state_allocates_no_image(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(14)
+        k = rng.random((13, 13))
+        op = sd.BlurOperator(k / k.sum(), (127, 127))
+        u = rng.random((127, 127))
+        op.normal(u)  # the first call allocates the kept buffers
+        tracemalloc.start()
+        try:
+            op.normal(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * u.nbytes  # no image-size temporary
+
+
 class TestResample:
     def test_identity_factor(self):
         img = np.random.default_rng(8).random((9, 11))

@@ -4,6 +4,9 @@ import pytest
 import salientdeblur as sd
 from salientdeblur.core import BlurOperator
 from salientdeblur.deconv import DeconvParams, deconv_objective, _irls_deconv_single
+from salientdeblur.kernel_est import KernelEstParams
+
+from oracles import irls_deconv_allocating
 
 def step_edge_instance():
     img = np.full((64, 64), 0.1)
@@ -47,6 +50,24 @@ class TestCgSolve:
 
         with pytest.raises(sd.NumericalError):
             sd.cg_solve(bad, np.ones(3), 5)
+
+    @pytest.mark.parametrize("iters", [2.5, -5, True, None, "3"])
+    def test_bad_budget_is_invalid_input(self, iters):
+        with pytest.raises(sd.InvalidInputError, match="iters"):
+            sd.cg_solve(lambda v: v, np.ones(3), iters)
+
+    def test_zero_budget_returns_the_start(self):
+        assert not sd.cg_solve(lambda v: 2.0 * v, np.ones(3), 0).any()
+        x0 = np.array([1.0, -2.0, 3.0])
+        assert np.array_equal(sd.cg_solve(lambda v: 2.0 * v, np.ones(3), np.int64(0), x0=x0), x0)
+
+    def test_operator_may_reuse_its_output_buffer(self):
+        rng = np.random.default_rng(1)
+        a = random_spd(rng)
+        b = rng.normal(size=10)
+        buf = np.empty(10)
+        reused = sd.cg_solve(lambda v: np.matmul(a, v, out=buf), b, 10)
+        assert np.array_equal(reused, sd.cg_solve(lambda v: a @ v, b, 10))
 
 
 def random_spd(rng, n=10):
@@ -322,3 +343,44 @@ def test_deconv_params_validation():
         DeconvParams(irls_iters=0)
     with pytest.raises(sd.InvalidInputError):
         DeconvParams(weight_floor=0.0)
+
+
+@pytest.mark.parametrize("name", ["irls_iters", "cg_iters_interim", "cg_iters_final"])
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_deconv_params_reject_non_integer_budgets(name, value):
+    with pytest.raises(sd.InvalidInputError, match=name):
+        DeconvParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["itr", "irls_iters", "cg_iters"])
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_kernel_params_reject_non_integer_budgets(name, value):
+    with pytest.raises(sd.InvalidInputError, match=name):
+        KernelEstParams(**{name: value})
+
+
+class TestBufferedCore:
+    @pytest.mark.parametrize("warm_start", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_allocating_oracle_bitwise(self, warm_start, weighted):
+        rng = np.random.default_rng(20)
+        sharp = rng.random((40, 33))
+        k = rng.random((7, 5))
+        k /= k.sum()
+        blurred = sd.convolve(sharp, k, "fft") + rng.normal(0, 0.01, sharp.shape)
+        if weighted:
+            grad_s = sd.gradients(sd.convolve(sharp, np.full((3, 3), 1.0 / 9.0), "fft"))
+            wx, wy = np.exp(-np.abs(grad_s.gx) ** 0.8), np.exp(-np.abs(grad_s.gy) ** 0.8)
+        else:
+            wx = wy = 1.0
+        args = (blurred, BlurOperator(k, blurred.shape), 0.004, wx, wy, 3, 25, 1e-3)
+        assert np.array_equal(_irls_deconv_single(*args, warm_start=warm_start),
+                              irls_deconv_allocating(*args, warm_start=warm_start))
+
+    @pytest.mark.parametrize("shape,kshape", [((1, 12), (1, 3)), ((12, 1), (3, 1)), ((2, 2), (1, 1))])
+    def test_strips_match_allocating_oracle_bitwise(self, shape, kshape):
+        rng = np.random.default_rng(21)
+        img = rng.random(shape)
+        k = np.full(kshape, 1.0 / np.prod(kshape))
+        args = (img, BlurOperator(k, shape), 0.01, 1.0, 1.0, 2, 10, 1e-3)
+        assert np.array_equal(_irls_deconv_single(*args), irls_deconv_allocating(*args))

@@ -184,6 +184,32 @@ class TestPipeline:
             for a, b in zip(values, values[1:]):
                 assert b == pytest.approx(a / 1.1)
 
+    def test_last_interim_restoration_is_skipped(self, monkeypatch):
+        from salientdeblur import pipeline
+
+        blurred = sd.synthesize(sd.test_chart(96), sd.kernel_preset("line-d", 9), noise_sigma=0.01, seed=4)
+        cfg = sd.DeblurConfig(kernel_size=9)
+        real_tv = pipeline.tv_deconv
+        calls = []
+        monkeypatch.setattr(pipeline, "tv_deconv", lambda *a: calls.append(a) or real_tv(*a))
+        events = []
+        skipped = sd.estimate_blur_kernel(blurred, cfg, progress=lambda *e: events.append(e))
+        levels = len({e[0] for e in events})
+        assert levels == 2 and len(events) == levels * cfg.inner_iters
+        assert len(calls) == levels * cfg.inner_iters - 1
+
+        # a run that also makes the skipped call (on the finest, unscaled
+        # level) from the last progress event ends with the same kernel
+        def unskip(level, it, kernel, threshold):
+            if (level, it) == (levels - 1, cfg.inner_iters - 1):
+                pipeline.tv_deconv(blurred, kernel, cfg.lambda_c)
+
+        calls.clear()
+        unskipped = sd.estimate_blur_kernel(blurred, cfg, progress=unskip)
+        assert len(calls) == levels * cfg.inner_iters
+        assert np.array_equal(skipped.kernel, unskipped.kernel)
+        assert np.array_equal(skipped.grad_s.gx, unskipped.grad_s.gx)
+
     def test_deterministic_end_to_end(self):
         chart = sd.test_chart(96)
         blurred = sd.synthesize(chart, sd.kernel_preset("line-h", 7), noise_sigma=0.01, seed=5)
