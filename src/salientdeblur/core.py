@@ -2,10 +2,10 @@
 replicate-boundary convolution (spatial and frequency paths), bilinear
 resampling, and gradient-domain (Poisson) reconstruction.
 
-``BlurOperator`` is the blur that the solvers iterate on: ``forward`` and
-``adjoint`` return new arrays, and ``normal`` computes adjoint(forward(u))
-on buffers the operator keeps, returning a view that the next call
-overwrites.
+``BlurOperator`` is the one frequency-domain blur: ``forward``, ``adjoint``
+and ``normal`` (adjoint of forward, for the solvers) run one transform path
+on buffers the operator keeps.  The first two return new arrays; ``normal``
+returns a view that the next call overwrites.
 
 Images are float64 arrays in [0, 1], shaped (h, w) for a single channel or
 (h, w, 3) for color.  Gradient fields pair the x- and y-derivative grids.
@@ -237,11 +237,13 @@ def convolve(img, kernel, mode: str = "fft") -> np.ndarray:
 class BlurOperator:
     """Blur by a fixed kernel on a fixed single-channel shape, plus its adjoint.
 
-    Caches the kernel's frequency response so repeated applications inside
-    iterative solvers cost two transforms each.  ``normal`` applies
-    adjoint(forward(.)) in one pass on buffers the operator keeps between
-    calls; they are allocated on its first call, so an operator that only
-    runs ``forward`` holds none.  Not safe to share between threads.
+    Caches the kernel's frequency response and keeps three buffers (a pad
+    frame, a half spectrum and a real frame) that all three methods run on,
+    through one forward half and one adjoint half.  Each 2-D transform runs
+    as a row call and a column call, skipping the row transforms whose input
+    is known zero or whose output is discarded.  ``forward`` and ``adjoint``
+    return new arrays; ``normal`` returns a view that the next call of any
+    of the three overwrites.  Not safe to share between threads.
     """
 
     def __init__(self, kernel, shape):
@@ -253,65 +255,59 @@ class BlurOperator:
         if kh > h or kw > w:
             raise InvalidInputError("convolve: kernel %s larger than image %s" % ((kh, kw), (h, w)))
         self._ry, self._rx = kh // 2, kw // 2
-        self._fh, self._fw = _fast_len(h + kh - 1), _fast_len(w + kw - 1)
-        self._fk = np.fft.rfft2(self.kernel, s=(self._fh, self._fw))
-        self._bufs = None
+        fh, fw = _fast_len(h + kh - 1), _fast_len(w + kw - 1)
+        self._fk = np.fft.rfft2(self.kernel, s=(fh, fw))
+        self._pad = np.empty((h + kh - 1, w + kw - 1))
+        self._spec = np.empty((fh, fw // 2 + 1), dtype=np.complex128)
+        self._real = np.empty((fh, fw))
+        # the crop: rows and columns forward keeps, where adjoint embeds
+        self._crop = (slice(kh - 1, kh - 1 + h), slice(kw - 1, kw - 1 + w))
 
     def forward(self, img: np.ndarray) -> np.ndarray:
-        h, w = self.shape
-        kh, kw = self.kernel.shape
-        p = _pad_replicate(img, self._ry, self._rx)
-        conv = np.fft.irfft2(np.fft.rfft2(p, s=(self._fh, self._fw)) * self._fk, s=(self._fh, self._fw))
-        return conv[kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w]
+        self._forward(img)
+        return self._real[self._crop].copy()
 
     def adjoint(self, img: np.ndarray) -> np.ndarray:
-        h, w = self.shape
-        kh, kw = self.kernel.shape
-        emb = np.zeros((self._fh, self._fw))
-        emb[kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w] = img
-        q = np.fft.irfft2(np.fft.rfft2(emb) * np.conj(self._fk), s=(self._fh, self._fw))
-        return _fold_replicate(q[: h + 2 * self._ry, : w + 2 * self._rx], self._ry, self._rx)
+        self._real[self._crop] = img
+        return self._adjoint().copy()
 
     def normal(self, u: np.ndarray) -> np.ndarray:
-        """``adjoint(forward(u))``, bitwise, without allocating an image-size array.
+        """``adjoint(forward(u))`` without allocating an image-size array.
 
-        The 2-D transforms run axis by axis into the kept buffers, skipping
-        the row transforms whose input is known zero or whose output the
-        crop discards.  The result is a view of those buffers: it stays
-        valid only until the next call.  ``u`` is not modified.
+        Returns a view of the kept buffers, overwritten by the next call of
+        ``forward``, ``adjoint`` or ``normal``.  ``u`` is not modified.
         """
-        h, w = self.shape
-        kh, kw = self.kernel.shape
-        ry, rx, fw = self._ry, self._rx, self._fw
-        if self._bufs is None:
-            self._bufs = (np.empty((h + 2 * ry, w + 2 * rx)),
-                          np.empty((self._fh, fw // 2 + 1), dtype=np.complex128),
-                          np.empty((self._fh, fw)))
-        pad, spec, real = self._bufs
-        hp = h + 2 * ry
-        crop = slice(kh - 1, kh - 1 + h)  # rows forward keeps, the rows adjoint embeds
-        # forward: replicate pad, transform, multiply, inverse on the kept rows
-        np.fft.rfft(_pad_replicate(u, ry, rx, out=pad), n=fw, axis=1, out=spec[:hp])
+        self._forward(u)
+        return self._adjoint()
+
+    def _forward(self, u: np.ndarray) -> None:
+        """Replicate pad, transform, multiply, inverse on the crop rows."""
+        spec, rows, hp, fw = self._spec, self._crop[0], self._pad.shape[0], self._real.shape[1]
+        np.fft.rfft(_pad_replicate(u, self._ry, self._rx, out=self._pad), n=fw, axis=1, out=spec[:hp])
         spec[hp:] = 0.0
         np.fft.fft(spec, axis=0, out=spec)
         np.multiply(spec, self._fk, out=spec)
         np.fft.ifft(spec, axis=0, out=spec)
-        np.fft.irfft(spec[crop], n=fw, axis=1, out=real[crop])
-        # adjoint: zero all but the crop, transform, multiply by the
-        # conjugate response, inverse on the padded rows, fold the margins
-        real[crop, : kw - 1] = 0.0
-        real[crop, kw - 1 + w :] = 0.0
-        np.fft.rfft(real[crop], axis=1, out=spec[crop])
-        spec[: kh - 1] = 0.0
-        spec[kh - 1 + h :] = 0.0
+        np.fft.irfft(spec[rows], n=fw, axis=1, out=self._real[rows])
+
+    def _adjoint(self) -> np.ndarray:
+        """Zero the crop rows' margins, transform, multiply by the conjugate
+        response, inverse on the padded rows, fold; returns a view."""
+        spec, real, (rows, cols) = self._spec, self._real, self._crop
+        hp, wp = self._pad.shape
+        real[rows, : cols.start] = 0.0
+        real[rows, cols.stop :] = 0.0
+        np.fft.rfft(real[rows], axis=1, out=spec[rows])
+        spec[: rows.start] = 0.0
+        spec[rows.stop :] = 0.0
         np.fft.fft(spec, axis=0, out=spec)
         # conjugate the response in place and back: exact, and no copy of it
         np.negative(self._fk.imag, out=self._fk.imag)
         np.multiply(spec, self._fk, out=spec)
         np.negative(self._fk.imag, out=self._fk.imag)
         np.fft.ifft(spec, axis=0, out=spec)
-        np.fft.irfft(spec[:hp], n=fw, axis=1, out=real[:hp])
-        return _fold_replicate(real[:hp, : w + 2 * rx], ry, rx)
+        np.fft.irfft(spec[:hp], n=real.shape[1], axis=1, out=real[:hp])
+        return _fold_replicate(real[:hp, :wp], self._ry, self._rx)
 
 
 def resize(img, shape) -> np.ndarray:

@@ -22,6 +22,8 @@ import numpy as np
 from .core import BlurOperator, GradientField, _check_count, _check_kernel_weights, _inner, gradients
 from .errors import InvalidInputError, NumericalError
 
+CG_TOL = 1e-10  # cg_solve's early exit, relative to ||b||
+
 
 @dataclass
 class DeconvParams:
@@ -39,8 +41,7 @@ class DeconvParams:
             raise InvalidInputError("deconv: weight_floor must be > 0")
 
 
-def cg_solve(apply_a, b: np.ndarray, iters: int, tol: float = 1e-10, *,
-             x0: np.ndarray | None = None) -> np.ndarray:
+def cg_solve(apply_a, b: np.ndarray, iters: int, *, x0: np.ndarray | None = None) -> np.ndarray:
     """Conjugate gradients with a fixed iteration budget.
 
     ``iters`` is a non-negative integer; 0 returns the start.  Starts from
@@ -50,7 +51,7 @@ def cg_solve(apply_a, b: np.ndarray, iters: int, tol: float = 1e-10, *,
     ``apply_a`` may return a buffer it overwrites on its next call: each
     result is used up before the next application.  The vector updates run
     in place, so a step allocates nothing beyond what ``apply_a`` does.
-    Exits early once the residual norm falls below ``tol * ||b||``; raises
+    Exits early once the residual norm falls below ``CG_TOL * ||b||``; raises
     NumericalError if a step scalar turns non-finite.
     """
     _check_count(iters, 0, "conjugate-gradient: iters")
@@ -82,7 +83,7 @@ def cg_solve(apply_a, b: np.ndarray, iters: int, tol: float = 1e-10, *,
         rs_new = _inner(r, r)
         if not np.isfinite(rs_new):
             raise NumericalError("conjugate-gradient: non-finite residual")
-        if np.sqrt(rs_new) < tol * b_norm:
+        if np.sqrt(rs_new) < CG_TOL * b_norm:
             break
         np.add(r, np.multiply(rs_new / rs, p, out=p), out=p)
         rs = rs_new

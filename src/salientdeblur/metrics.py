@@ -85,15 +85,9 @@ def _aligned_canvases(k_est, k_true):
     return _shift_zero(ac, best_shift[0], best_shift[1]), bc, best_shift
 
 
-def best_alignment(k_est, k_true) -> tuple:
-    """Integer (dy, dx) shift of k_est maximizing correlation with k_true."""
-    _, _, shift = _aligned_canvases(k_est, k_true)
-    return shift
-
-
 def align_kernel(k_est, k_true):
     """k_est normalized and shifted into registration with k_true (same frame)."""
-    shift = best_alignment(k_est, k_true)
+    _, _, shift = _aligned_canvases(k_est, k_true)
     shifted = _shift_zero(_normalize(k_est), shift[0], shift[1])
     aligned, _ = project_kernel(shifted)
     return aligned, shift

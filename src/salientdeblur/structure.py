@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .core import GradientField, _inner, divergence, gradients
+from .core import GradientField, _inner, _pad_replicate, divergence, gradients
 from .errors import InvalidInputError
 
 MASK_RULES = ("magnitude", "conjunction")
@@ -65,13 +65,13 @@ def tv_objective(u, image, theta: float, omega=None) -> float:
     u = np.asarray(u, dtype=np.float64)
     f = np.asarray(image, dtype=np.float64)
     lam = theta * (np.ones_like(f) if omega is None else np.asarray(omega, dtype=np.float64))
-    return _tv_energy(u, f, lam)
-
-
-def _tv_energy(u: np.ndarray, f: np.ndarray, lam: np.ndarray) -> float:
-    """sum ||grad u||_2 + (u - f)^2 / (2 lam), with lam = theta * omega per pixel."""
     g = gradients(u)
-    return float(np.hypot(g.gx, g.gy).sum() + ((u - f) ** 2 / (2.0 * lam)).sum())
+    return _tv_energy(u, np.hypot(g.gx, g.gy), f, lam)
+
+
+def _tv_energy(u: np.ndarray, mag: np.ndarray, f: np.ndarray, lam: np.ndarray) -> float:
+    """sum mag + (u - f)^2 / (2 lam), with mag = ||grad u||_2 and lam = theta * omega per pixel."""
+    return float(mag.sum() + ((u - f) ** 2 / (2.0 * lam)).sum())
 
 
 def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, tol: float = 1e-3) -> np.ndarray:
@@ -108,16 +108,20 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
     px = np.zeros_like(f)
     py = np.zeros_like(f)
     u = f.copy()
+    # each iterate's gradients serve both its energy and the next dual step
+    gx, gy = gradients(u)
+    mag = np.hypot(gx, gy)
     best = u
-    best_energy = _tv_energy(u, f, lam)
+    best_energy = _tv_energy(u, mag, f, lam)
     for _ in range(max_iters):
-        gx, gy = gradients(u)
-        denom = 1.0 + coef * np.hypot(gx, gy)
+        denom = 1.0 + coef * mag
         px = (px + coef * gx) / denom
         py = (py + coef * gy) / denom
         u_prev = u
         u = f + lam * divergence(GradientField(px, py))
-        e = _tv_energy(u, f, lam)
+        gx, gy = gradients(u)
+        mag = np.hypot(gx, gy)
+        e = _tv_energy(u, mag, f, lam)
         if e < best_energy:
             best, best_energy = u, e
         step = u - u_prev
@@ -149,7 +153,7 @@ def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
     lo, hi = a.min(), a.max()
     out = a.copy()
     for _ in range(steps):
-        p = np.pad(out, 1, mode="edge")
+        p = _pad_replicate(out, 1, 1)
         c = p[1:-1, 1:-1]
         ix = 0.5 * (p[1:-1, 2:] - p[1:-1, :-2])
         iy = 0.5 * (p[2:, 1:-1] - p[:-2, 1:-1])

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own solution paths: the 1D TV
 problem is solved exactly by a taut-string sweep, convolution by naive
 loops, linear operators by dense matrix assembly + direct solve, the kernel
-fit's normal operator by image-size FFTs, the restorations' buffered IRLS
-core by plain allocating array expressions, and PNG row filtering
-by a per-byte encoder that follows the PNG specification.
+fit's normal operator by image-size FFTs, the image blur and its adjoint by
+whole-frame 2-D FFTs, the restorations' buffered IRLS core by plain
+allocating array expressions, and PNG row filtering by a per-byte encoder
+that follows the PNG specification.
 """
 
 import struct
@@ -182,6 +183,38 @@ class FFTEdgeSystem:
         return sum(float(((self._convolve(fs, kernel) - b) ** 2).sum()) for fs, b in zip(self._fs, self._b))
 
 
+class FFT2Blur:
+    """Replicate-boundary blur and its adjoint by whole-frame ``rfft2``/``irfft2``.
+
+    The same transform sizes and margin fold as ``BlurOperator``, with new
+    arrays at every step; its results equal the operator's bit for bit.
+    """
+
+    def __init__(self, kernel, shape):
+        from salientdeblur.core import _fast_len
+
+        self.kernel = np.asarray(kernel, dtype=np.float64)
+        self.shape = tuple(shape)
+        (h, w), (kh, kw) = self.shape, self.kernel.shape
+        self.fshape = (_fast_len(h + kh - 1), _fast_len(w + kw - 1))
+        self._fk = np.fft.rfft2(self.kernel, s=self.fshape)
+
+    def forward(self, img):
+        (h, w), (kh, kw) = self.shape, self.kernel.shape
+        p = np.pad(np.asarray(img, dtype=np.float64), ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+        conv = np.fft.irfft2(np.fft.rfft2(p, s=self.fshape) * self._fk, s=self.fshape)
+        return conv[kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w]
+
+    def adjoint(self, img):
+        from salientdeblur.core import _fold_replicate
+
+        (h, w), (kh, kw) = self.shape, self.kernel.shape
+        emb = np.zeros(self.fshape)
+        emb[kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w] = img
+        q = np.fft.irfft2(np.fft.rfft2(emb) * np.conj(self._fk), s=self.fshape)
+        return _fold_replicate(q[: h + kh - 1, : w + kw - 1], kh // 2, kw // 2)
+
+
 def _cg_allocating(apply_a, b, iters, x0=None, tol=1e-10):
     """The conjugate-gradient loop of ``irls_deconv_allocating``: the
     library's arithmetic, with a fresh array for every vector update."""
@@ -219,11 +252,13 @@ def _cg_allocating(apply_a, b, iters, x0=None, tol=1e-10):
 def irls_deconv_allocating(image, op, lam, wx_base, wy_base, irls_iters, cg_iters, floor,
                            warm_start=False):
     """The IRLS restoration core as plain array expressions: the normal
-    operator as adjoint(forward(.)), the regularizer through the library's
-    gradients() and divergence(), and new arrays at every step."""
+    operator as adjoint(forward(.)) of the ``FFT2Blur`` oracle of ``op``'s
+    kernel, the regularizer through the library's gradients() and
+    divergence(), and new arrays at every step."""
     from salientdeblur.core import GradientField, divergence, gradients
 
-    rhs = op.adjoint(image)
+    blur = FFT2Blur(op.kernel, op.shape)
+    rhs = blur.adjoint(image)
     out = image.copy()
     for _ in range(irls_iters):
         g = gradients(out)
@@ -233,7 +268,7 @@ def irls_deconv_allocating(image, op, lam, wx_base, wy_base, irls_iters, cg_iter
         def apply_a(u):
             gu = gradients(u)
             reg = -divergence(GradientField(wx * gu.gx, wy * gu.gy))
-            return op.adjoint(op.forward(u)) + (0.5 * lam) * reg
+            return blur.adjoint(blur.forward(u)) + (0.5 * lam) * reg
 
         out = _cg_allocating(apply_a, rhs, cg_iters, x0=out if warm_start else None)
     return out

@@ -4,7 +4,7 @@ import pytest
 import salientdeblur as sd
 from salientdeblur.core import periodic_gradients
 
-from oracles import naive_convolve
+from oracles import FFT2Blur, naive_convolve
 
 
 class TestGrayscale:
@@ -165,11 +165,38 @@ class TestNormalOperator:
         rng = np.random.default_rng(12)
         k = rng.random(kshape)
         op = sd.BlurOperator(k / k.sum(), shape)
+        ref = FFT2Blur(k / k.sum(), shape)
         for _ in range(3):  # repeated calls on one operator's buffers
             u = rng.normal(size=shape)
             kept = u.copy()
-            assert np.array_equal(op.normal(u), op.adjoint(op.forward(u)))
+            assert np.array_equal(op.normal(u), ref.adjoint(ref.forward(u)))
             assert np.array_equal(u, kept)
+
+    @pytest.mark.parametrize("shape,kshape", CASES)
+    def test_forward_and_adjoint_match_fft2_oracle_bitwise(self, shape, kshape):
+        rng = np.random.default_rng(15)
+        k = rng.random(kshape)
+        op = sd.BlurOperator(k / k.sum(), shape)
+        ref = FFT2Blur(k / k.sum(), shape)
+        for _ in range(3):
+            u = rng.normal(size=shape)
+            kept = u.copy()
+            assert np.array_equal(op.forward(u), ref.forward(u))
+            assert np.array_equal(op.adjoint(u), ref.adjoint(u))
+            assert np.array_equal(u, kept)
+
+    def test_returned_arrays_survive_later_calls(self):
+        rng = np.random.default_rng(16)
+        k = rng.random((5, 7))
+        op = sd.BlurOperator(k / k.sum(), (19, 23))
+        u = rng.normal(size=(19, 23))
+        fu, au = op.forward(u), op.adjoint(u)
+        fu_kept, au_kept = fu.copy(), au.copy()
+        for _ in range(2):
+            op.normal(rng.normal(size=(19, 23)))
+            op.forward(rng.normal(size=(19, 23)))
+            op.adjoint(rng.normal(size=(19, 23)))
+        assert np.array_equal(fu, fu_kept) and np.array_equal(au, au_kept)
 
     def test_operators_do_not_share_buffers(self):
         rng = np.random.default_rng(13)
@@ -178,23 +205,35 @@ class TestNormalOperator:
         u, v = rng.random((16, 18)), rng.random((16, 18))
         nu = first.normal(u)
         second.normal(v)
+        nu = nu.copy()  # first's next call overwrites the view
         assert np.array_equal(nu, first.adjoint(first.forward(u)))
 
-    def test_steady_state_allocates_no_image(self):
+    @staticmethod
+    def _warm_peak(call):
         import tracemalloc
 
+        call()  # numpy's FFT plan cache fills on the first call
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_steady_state_allocates_no_image(self):
         rng = np.random.default_rng(14)
         k = rng.random((13, 13))
         op = sd.BlurOperator(k / k.sum(), (127, 127))
         u = rng.random((127, 127))
-        op.normal(u)  # the first call allocates the kept buffers
-        tracemalloc.start()
-        try:
-            op.normal(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * u.nbytes  # no image-size temporary
+        assert self._warm_peak(lambda: op.normal(u)) < 0.5 * u.nbytes  # no image-size temporary
+
+    def test_forward_and_adjoint_allocate_only_their_result(self):
+        rng = np.random.default_rng(14)
+        k = rng.random((13, 13))
+        op = sd.BlurOperator(k / k.sum(), (127, 127))
+        u = rng.random((127, 127))
+        assert self._warm_peak(lambda: op.forward(u)) <= 1.5 * u.nbytes
+        assert self._warm_peak(lambda: op.adjoint(u)) <= 1.5 * u.nbytes
 
 
 class TestResample:

@@ -95,6 +95,21 @@ class TestAdaptiveTV:
         b = sd.adaptive_tv_denoise(img, 0.2, np.ones_like(img))
         assert np.array_equal(a, b)
 
+    def test_one_gradient_per_iterate(self, monkeypatch):
+        # each iterate's gradients serve its energy and the next dual step
+        import salientdeblur.structure as structure
+
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return sd.gradients(a)
+
+        monkeypatch.setattr(structure, "gradients", counted)
+        img = np.random.default_rng(5).random((12, 13))
+        sd.adaptive_tv_denoise(img, 0.1, None, max_iters=7, tol=0.0)
+        assert len(calls) == 7 + 1
+
     def test_rejects_bad_omega(self):
         img = np.zeros((5, 5))
         with pytest.raises(sd.InvalidInputError):
