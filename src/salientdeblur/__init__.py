@@ -19,7 +19,7 @@ from .core import (
     resize,
     to_grayscale,
 )
-from .deconv import DeconvParams, adaptive_deconv, cg_solve, tv_deconv
+from .deconv import adaptive_deconv, cg_solve, tv_deconv
 from .errors import (
     DeblurError,
     DegenerateStructureError,
@@ -63,7 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlurOperator", "GradientField", "check_kernel", "convolve", "delta_kernel",
     "divergence", "gradients", "poisson_reconstruct", "resample", "resize", "to_grayscale",
-    "DeconvParams", "adaptive_deconv", "cg_solve", "tv_deconv",
+    "adaptive_deconv", "cg_solve", "tv_deconv",
     "DeblurError", "DegenerateStructureError", "InvalidInputError", "NumericalError",
     "TexturelessImageError",
     "read_image", "read_kernel", "write_image", "write_kernel", "write_kernel_image",

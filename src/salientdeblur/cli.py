@@ -137,13 +137,7 @@ def _cmd_deconv(args) -> int:
     cfg = _build_config(args)
     image = fileio.read_image(args.input)
     if args.method == "tv":
-        if image.ndim == 2:
-            restored = tv_deconv(image, kernel, cfg.lambda_c)
-        else:
-            restored = np.dstack([
-                tv_deconv(image[:, :, c], kernel, cfg.lambda_c)
-                for c in range(image.shape[2])
-            ])
+        restored = tv_deconv(image, kernel, cfg.lambda_c)
     else:
         _, _, _, grad_s = structure_pass(image, cfg)
         restored = adaptive_deconv(image, kernel, grad_s, cfg.lambda_final)

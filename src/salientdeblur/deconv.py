@@ -3,8 +3,10 @@
 Two flavors share one IRLS core: an anisotropic-TV restoration used inside
 the multi-scale loop, and a final restoration whose per-direction smoothness
 weights relax wherever the salient structure has strong derivatives, so real
-edges are not smoothed away.  Each reweighting solves its quadratic with a
-fixed budget of conjugate-gradient iterations on the normal equations.  The
+edges are not smoothed away.  Both go through one validated entry that
+restores an image channel by channel on one blur operator.  Each
+reweighting solves its quadratic with a fixed budget of conjugate-gradient
+iterations on the normal equations; the budgets are module constants.  The
 interim restoration starts every reweighting's CG from zero; the final one
 starts it from the previous iterate, the point where the weights were taken,
 so each reweighting is a majorize-minimize descent step on the true energy.
@@ -15,30 +17,19 @@ vectors update in place, with the same arithmetic as the plain expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .core import BlurOperator, GradientField, _check_count, _check_kernel_weights, _inner, gradients
 from .errors import InvalidInputError, NumericalError
+from .structure import smooth_weight
 
 CG_TOL = 1e-10  # cg_solve's early exit, relative to ||b||
-
-
-@dataclass
-class DeconvParams:
-    """IRLS/CG budgets and the derivative-weight floor."""
-
-    irls_iters: int = 3
-    cg_iters_interim: int = 30
-    cg_iters_final: int = 50
-    weight_floor: float = 0.001
-
-    def __post_init__(self):
-        for name in ("irls_iters", "cg_iters_interim", "cg_iters_final"):
-            _check_count(getattr(self, name), 1, "deconv: " + name)
-        if self.weight_floor <= 0:
-            raise InvalidInputError("deconv: weight_floor must be > 0")
+IRLS_ITERS = 3  # reweightings per restoration
+CG_ITERS_INTERIM = 30  # cold-started CG steps per reweighting, interim restoration
+CG_ITERS_FINAL = 50  # warm-started CG steps per reweighting, final restoration
+WEIGHT_FLOOR = 1e-3  # floor on |dI| in the reweighting
 
 
 def cg_solve(apply_a, b: np.ndarray, iters: int, *, x0: np.ndarray | None = None) -> np.ndarray:
@@ -130,17 +121,29 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
     return out
 
 
-def _finite_image(image) -> np.ndarray:
+def _restore(image, kernel, lam: float, wx_base, wy_base, cg_iters: int, warm_start: bool) -> np.ndarray:
+    """Both restorations' entry: checks the image, ``lam`` and the kernel, and
+    restores an (h, w) image, or an (h, w, c) one channel by channel, with
+    one blur operator and the same weights."""
     img = np.asarray(image, dtype=np.float64)
+    if img.ndim not in (2, 3):
+        raise InvalidInputError("deconv: expected an (h, w) or (h, w, c) image, got shape %s"
+                                % (img.shape,))
     if not np.all(np.isfinite(img)):
         raise InvalidInputError("deconv: image samples must be finite")
-    return img
-
-
-def _blur_operator(kernel, shape) -> BlurOperator:
+    if not (math.isfinite(lam) and lam > 0):
+        raise InvalidInputError("deconv: lambda must be a finite number > 0, got %r" % (lam,))
     k = np.asarray(kernel, dtype=np.float64)
     _check_kernel_weights(k)
-    return BlurOperator(k, shape)
+    op = BlurOperator(k, img.shape[:2])
+
+    def restore(channel):
+        return _irls_deconv_single(channel, op, lam, wx_base, wy_base, IRLS_ITERS, cg_iters,
+                                   WEIGHT_FLOOR, warm_start=warm_start)
+
+    if img.ndim == 2:
+        return restore(img)
+    return np.dstack([restore(img[:, :, c]) for c in range(img.shape[2])])
 
 
 def deconv_objective(candidate, image, kernel, lam: float, grad_s: GradientField | None = None) -> float:
@@ -152,31 +155,23 @@ def deconv_objective(candidate, image, kernel, lam: float, grad_s: GradientField
     if grad_s is None:
         wx = wy = 1.0
     else:
-        wx = np.exp(-np.abs(grad_s.gx) ** 0.8)
-        wy = np.exp(-np.abs(grad_s.gy) ** 0.8)
+        wx, wy = smooth_weight(grad_s.gx), smooth_weight(grad_s.gy)
     data = float(((op.forward(cand) - img) ** 2).sum())
     return data + lam * float((wx * np.abs(g.gx)).sum() + (wy * np.abs(g.gy)).sum())
 
 
-def tv_deconv(image, kernel, lambda_c: float, params: DeconvParams | None = None) -> np.ndarray:
+def tv_deconv(image, kernel, lambda_c: float) -> np.ndarray:
     """Interim restoration: argmin ||image - kernel * I||^2 + lambda_c ||grad I||_1.
 
     Anisotropic TV solved by IRLS (derivative weights from the previous
-    iterate, floored), initialized at the blurred image itself.
+    iterate, floored), initialized at the blurred image itself, with every
+    reweighting's CG started from zero.  Multi-channel (h, w, c) images are
+    restored channel by channel.
     """
-    params = params or DeconvParams()
-    img = _finite_image(image)
-    if img.ndim != 2:
-        raise InvalidInputError("deconv: tv_deconv expects a single-channel image")
-    if lambda_c <= 0:
-        raise InvalidInputError("deconv: lambda_c must be > 0")
-    op = _blur_operator(kernel, img.shape)
-    return _irls_deconv_single(img, op, lambda_c, 1.0, 1.0,
-                               params.irls_iters, params.cg_iters_interim, params.weight_floor)
+    return _restore(image, kernel, lambda_c, 1.0, 1.0, CG_ITERS_INTERIM, False)
 
 
-def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float,
-                    params: DeconvParams | None = None) -> np.ndarray:
+def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float) -> np.ndarray:
     """Final restoration with structure-adaptive smoothness weights.
 
     The per-direction regularizer weight is exp(-|dS|^0.8) / max(|dI|, floor),
@@ -184,26 +179,11 @@ def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float,
     from the previous iterate (the blurred image for the first).  Multi-channel
     images are restored channel by channel with the same structure field.
     """
-    params = params or DeconvParams()
-    img = _finite_image(image)
-    if lam <= 0:
-        raise InvalidInputError("deconv: lambda must be > 0")
     sx = np.asarray(grad_s[0], dtype=np.float64)
     sy = np.asarray(grad_s[1], dtype=np.float64)
-    if sx.shape != img.shape[:2]:
+    if sx.shape != np.shape(image)[:2] or sy.shape != sx.shape:
         raise InvalidInputError("deconv: structure field shape %s != image shape %s"
-                                % (sx.shape, img.shape[:2]))
+                                % (sx.shape, np.shape(image)[:2]))
     if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
         raise InvalidInputError("deconv: structure field must be finite")
-    wx_base = np.exp(-np.abs(sx) ** 0.8)
-    wy_base = np.exp(-np.abs(sy) ** 0.8)
-    op = _blur_operator(kernel, img.shape[:2])
-
-    def restore(channel):
-        return _irls_deconv_single(channel, op, lam, wx_base, wy_base,
-                                   params.irls_iters, params.cg_iters_final, params.weight_floor,
-                                   warm_start=True)
-
-    if img.ndim == 2:
-        return restore(img)
-    return np.dstack([restore(img[:, :, c]) for c in range(img.shape[2])])
+    return _restore(image, kernel, lam, smooth_weight(sx), smooth_weight(sy), CG_ITERS_FINAL, True)

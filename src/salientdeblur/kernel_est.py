@@ -10,6 +10,7 @@ unit sum) after every inner solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +44,12 @@ class KernelEstParams:
     cg_iters: int = 25
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise InvalidInputError("kernel-estimation: gamma must be >= 0")
+        for name in ("gamma", "mu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError("kernel-estimation: %s must be a finite number >= 0" % name)
         if not 0 < self.alpha <= 1:
             raise InvalidInputError("kernel-estimation: alpha must be in (0, 1]")
-        if self.mu < 0:
-            raise InvalidInputError("kernel-estimation: mu must be >= 0")
         for name in ("itr", "irls_iters", "cg_iters"):
             _check_count(getattr(self, name), 1, "kernel-estimation: " + name)
 
@@ -227,8 +228,8 @@ def l0_gradient_smooth(kernel, mu: float) -> np.ndarray:
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2:
         raise InvalidInputError("kernel-estimation: kernel grid must be 2D")
-    if mu < 0:
-        raise InvalidInputError("kernel-estimation: mu must be >= 0")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise InvalidInputError("kernel-estimation: mu must be a finite number >= 0")
     if mu == 0.0:
         return k.copy()
     gk = gradients(k)

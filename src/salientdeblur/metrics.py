@@ -85,12 +85,16 @@ def _aligned_canvases(k_est, k_true):
     return _shift_zero(ac, best_shift[0], best_shift[1]), bc, best_shift
 
 
+def _shifted(k_est, shift) -> np.ndarray:
+    """k_est normalized, moved by ``shift`` in its own frame and projected."""
+    aligned, _ = project_kernel(_shift_zero(_normalize(k_est), shift[0], shift[1]))
+    return aligned
+
+
 def align_kernel(k_est, k_true):
     """k_est normalized and shifted into registration with k_true (same frame)."""
     _, _, shift = _aligned_canvases(k_est, k_true)
-    shifted = _shift_zero(_normalize(k_est), shift[0], shift[1])
-    aligned, _ = project_kernel(shifted)
-    return aligned, shift
+    return _shifted(k_est, shift), shift
 
 
 def ssde(k_est, k_true) -> tuple:
@@ -137,7 +141,7 @@ def evaluate_kernels(k_est, k_true, blurred, sharp, lambda_c: float = COMMON_LAM
     gray_blur = to_grayscale(blurred)
     gray_sharp = to_grayscale(sharp)
     err, shift = ssde(k_est, k_true)
-    aligned, _ = align_kernel(k_est, k_true)
+    aligned = _shifted(k_est, shift)
     k_truth, _ = project_kernel(np.asarray(k_true, dtype=np.float64))
     restored_est = tv_deconv(gray_blur, aligned, lambda_c)
     restored_true = tv_deconv(gray_blur, k_truth, lambda_c)

@@ -40,8 +40,8 @@ _MAX_RELAX = 5
 class DeblurConfig:
     """The model weights of the blind pipeline; defaults follow the method's
     reference settings.  Solver budgets are the defaults of the solvers that
-    run them (``KernelEstParams``, ``DeconvParams``, ``adaptive_tv_denoise``,
-    ``shock_filter``)."""
+    run them (``KernelEstParams``, ``adaptive_tv_denoise``, ``shock_filter``)
+    or, for the restorations, constants of ``deconv``."""
 
     kernel_size: int
     theta0: float = 1.0

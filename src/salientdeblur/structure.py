@@ -90,8 +90,8 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
     f = np.asarray(image, dtype=np.float64)
     if f.ndim != 2:
         raise InvalidInputError("structure: adaptive_tv_denoise expects a single-channel image")
-    if theta <= 0:
-        raise InvalidInputError("structure: theta must be > 0")
+    if not (math.isfinite(theta) and theta > 0):
+        raise InvalidInputError("structure: theta must be a finite number > 0, got %r" % (theta,))
     if max_iters < 0 or tol < 0:
         raise InvalidInputError("structure: max_iters and tol must be >= 0")
     if omega is None:
@@ -127,7 +127,7 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
         step = u - u_prev
         if np.sqrt(_inner(step, step)) <= tol * max(np.sqrt(_inner(u_prev, u_prev)), 1e-12):
             break
-    return best.copy()
+    return best
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,28 +175,32 @@ def _edge_strength(g: GradientField):
     return mag, np.abs(g.gx) / _AXIS_DIVISOR, np.abs(g.gy) / _AXIS_DIVISOR
 
 
-def salient_mask(enhanced, threshold: float, rule: str = "magnitude") -> np.ndarray:
-    """Boolean mask of pixels whose edge strength reaches the threshold.
-
-    ``magnitude`` thresholds the gradient norm alone; ``conjunction``
-    additionally requires both scaled single-axis components to reach it.
-    """
-    if threshold < 0:
-        raise InvalidInputError("structure: threshold must be >= 0")
+def _mask(g: GradientField, threshold: float, rule: str) -> np.ndarray:
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise InvalidInputError("structure: threshold must be a finite number >= 0, got %r"
+                                % (threshold,))
     if rule not in MASK_RULES:
         raise InvalidInputError("structure: mask_rule must be one of %s" % (MASK_RULES,))
-    mag, ax, ay = _edge_strength(gradients(np.asarray(enhanced, dtype=np.float64)))
+    mag, ax, ay = _edge_strength(g)
     mask = mag >= threshold
     if rule == "conjunction":
         mask &= (ax >= threshold) & (ay >= threshold)
     return mask
 
 
+def salient_mask(enhanced, threshold: float, rule: str = "magnitude") -> np.ndarray:
+    """Boolean mask of pixels whose edge strength reaches the threshold.
+
+    ``magnitude`` thresholds the gradient norm alone; ``conjunction``
+    additionally requires both scaled single-axis components to reach it.
+    """
+    return _mask(gradients(np.asarray(enhanced, dtype=np.float64)), threshold, rule)
+
+
 def select_salient_edges(enhanced, threshold: float, rule: str = "magnitude") -> GradientField:
     """Gradient field of the enhanced structure, zeroed outside the salient mask."""
-    a = np.asarray(enhanced, dtype=np.float64)
-    g = gradients(a)
-    mask = salient_mask(a, threshold, rule)
+    g = gradients(np.asarray(enhanced, dtype=np.float64))
+    mask = _mask(g, threshold, rule)
     return GradientField(np.where(mask, g.gx, 0.0), np.where(mask, g.gy, 0.0))
 
 

@@ -183,6 +183,23 @@ class TestDeconvCommand:
             restored = sd.read_image(out)
             assert sd.psnr(restored, chart) > sd.psnr(blurred, chart)
 
+    def test_tv_on_rgb_is_a_per_channel_stack(self, tmp_path):
+        chart = sd.test_chart(64)
+        kernel = sd.kernel_preset("line-d", 5)
+        sharp = np.dstack([chart, 1.0 - chart, 0.5 * chart])
+        bpath, kpath = tmp_path / "b.png", tmp_path / "k.txt"
+        sd.write_image(bpath, sd.synthesize(sharp, kernel, noise_sigma=0.005, seed=6))
+        sd.write_kernel(kpath, kernel)
+        out = tmp_path / "r.png"
+        assert run(["deconv", "--input", str(bpath), "--kernel", str(kpath),
+                    "--output", str(out), "--method", "tv"]) == 0
+        blurred = sd.read_image(bpath)
+        k, _ = sd.project_kernel(sd.read_kernel(kpath))
+        lam = sd.DeblurConfig(kernel_size=5).lambda_c
+        stack = np.dstack([sd.tv_deconv(blurred[:, :, c], k, lam) for c in range(3)])
+        sd.write_image(tmp_path / "expected.png", np.clip(stack, 0.0, 1.0))
+        assert out.read_bytes() == (tmp_path / "expected.png").read_bytes()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_kernel_file_exit_2(self, tmp_path, capsys, bad):
         bpath = tmp_path / "b.png"

@@ -3,7 +3,8 @@ import pytest
 
 import salientdeblur as sd
 from salientdeblur.core import BlurOperator
-from salientdeblur.deconv import DeconvParams, deconv_objective, _irls_deconv_single
+from salientdeblur.deconv import (CG_ITERS_FINAL, CG_ITERS_INTERIM, IRLS_ITERS, WEIGHT_FLOOR,
+                                  _irls_deconv_single, deconv_objective)
 from salientdeblur.kernel_est import KernelEstParams
 
 from oracles import irls_deconv_allocating
@@ -14,6 +15,12 @@ def step_edge_instance():
     kernel = np.full((7, 7), 1.0 / 49.0)
     blurred = sd.convolve(img, kernel, "fft")
     return img, kernel, blurred
+
+
+def restorations(grad_s, lam):
+    """Both restorations as (image, kernel) -> restored, at weight lam."""
+    return (lambda img, k: sd.tv_deconv(img, k, lam),
+            lambda img, k: sd.adaptive_deconv(img, k, grad_s, lam))
 
 
 def transition_width(img, row=32, lo=0.2, hi=0.8):
@@ -137,10 +144,10 @@ class TestTvDeconv:
         assert np.abs(out - img).max() <= 1e-6
 
     def test_step_edge_restoration(self):
-        # converged minimizer check: generous solver budget through params
+        # converged minimizer check: a generous budget on the interim restoration's cold core
         sharp, kernel, blurred = step_edge_instance()
-        params = DeconvParams(irls_iters=8, cg_iters_interim=300)
-        restored = sd.tv_deconv(blurred, kernel, 0.005, params)
+        restored = _irls_deconv_single(blurred, BlurOperator(kernel, blurred.shape), 0.005, 1.0, 1.0,
+                                       8, 300, WEIGHT_FLOOR)
         resid = sd.convolve(restored, kernel, "fft") - blurred
         assert np.sqrt(np.mean(resid**2)) <= 1e-3
         assert transition_width(restored) < transition_width(blurred)
@@ -165,11 +172,9 @@ class TestTvDeconv:
     def test_cold_start_core_bitwise(self):
         # the interim restoration must not pick up the final one's warm start
         _, kernel, blurred = step_edge_instance()
-        params = DeconvParams()
-        tv = sd.tv_deconv(blurred, kernel, 0.005, params)
+        tv = sd.tv_deconv(blurred, kernel, 0.005)
         core = _irls_deconv_single(blurred, BlurOperator(kernel, blurred.shape), 0.005, 1.0, 1.0,
-                                   params.irls_iters, params.cg_iters_interim, params.weight_floor,
-                                   warm_start=False)
+                                   IRLS_ITERS, CG_ITERS_INTERIM, WEIGHT_FLOOR, warm_start=False)
         assert np.array_equal(tv, core)
 
 
@@ -177,11 +182,9 @@ class TestAdaptiveDeconv:
     def test_zero_structure_matches_warm_core_bitwise(self):
         _, kernel, blurred = step_edge_instance()
         zeros = sd.GradientField(np.zeros_like(blurred), np.zeros_like(blurred))
-        params = DeconvParams()
-        adaptive = sd.adaptive_deconv(blurred, kernel, zeros, 0.005, params)
+        adaptive = sd.adaptive_deconv(blurred, kernel, zeros, 0.005)
         core = _irls_deconv_single(blurred, BlurOperator(kernel, blurred.shape), 0.005, 1.0, 1.0,
-                                   params.irls_iters, params.cg_iters_final, params.weight_floor,
-                                   warm_start=True)
+                                   IRLS_ITERS, CG_ITERS_FINAL, WEIGHT_FLOOR, warm_start=True)
         assert np.array_equal(adaptive, core)
 
     def test_delta_kernel_tiny_lambda(self):
@@ -223,11 +226,12 @@ class TestAdaptiveDeconv:
         k = np.full((3, 3), 1.0 / 9.0)
         blurred = sd.convolve(sharp, k, "fft")
         grad_s = sd.gradients(sd.to_grayscale(sharp))
-        out = sd.adaptive_deconv(blurred, k, grad_s, 0.003)
-        assert out.shape == sharp.shape
-        # channels processed independently: restoring one channel alone matches
-        single = sd.adaptive_deconv(blurred[:, :, 1], k, grad_s, 0.003)
-        assert np.array_equal(out[:, :, 1], single)
+        for restore in restorations(grad_s, 0.003):
+            out = restore(blurred, k)
+            assert out.shape == sharp.shape
+            # channels processed independently: restoring each channel alone matches
+            for c in range(3):
+                assert np.array_equal(out[:, :, c], restore(blurred[:, :, c], k))
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -331,25 +335,26 @@ def test_non_finite_structure_is_invalid_input(bad):
 def test_single_channel_stack_keeps_its_shape():
     img = np.random.default_rng(8).random((12, 12, 1))
     k = np.full((3, 3), 1.0 / 9.0)
-    grad_s = sd.gradients(img[:, :, 0])
-    out = sd.adaptive_deconv(img, k, grad_s, 0.003)
-    assert out.shape == (12, 12, 1)
-    assert np.array_equal(out[:, :, 0], sd.adaptive_deconv(img[:, :, 0], k, grad_s, 0.003))
+    for restore in restorations(sd.gradients(img[:, :, 0]), 0.003):
+        out = restore(img, k)
+        assert out.shape == (12, 12, 1)
+        assert np.array_equal(out[:, :, 0], restore(img[:, :, 0], k))
 
 
-def test_deconv_params_validation():
-    DeconvParams()
-    with pytest.raises(sd.InvalidInputError):
-        DeconvParams(irls_iters=0)
-    with pytest.raises(sd.InvalidInputError):
-        DeconvParams(weight_floor=0.0)
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+def test_bad_lambda_is_invalid_input(lam):
+    img = np.random.default_rng(9).random((12, 12))
+    k = np.full((3, 3), 1.0 / 9.0)
+    for restore in restorations(sd.gradients(img), lam):
+        with pytest.raises(sd.InvalidInputError, match="lambda"):
+            restore(img, k)
 
 
-@pytest.mark.parametrize("name", ["irls_iters", "cg_iters_interim", "cg_iters_final"])
-@pytest.mark.parametrize("value", [2.5, True, "3"])
-def test_deconv_params_reject_non_integer_budgets(name, value):
-    with pytest.raises(sd.InvalidInputError, match=name):
-        DeconvParams(**{name: value})
+@pytest.mark.parametrize("shape", [(12,), (12, 12, 3, 1)])
+def test_bad_image_rank_is_invalid_input(shape):
+    img = np.full(shape, 0.5)
+    with pytest.raises(sd.InvalidInputError, match="image"):
+        sd.tv_deconv(img, np.full((3, 3), 1.0 / 9.0), 0.005)
 
 
 @pytest.mark.parametrize("name", ["itr", "irls_iters", "cg_iters"])

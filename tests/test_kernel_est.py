@@ -304,6 +304,20 @@ class TestEstimateKernel:
         assert np.array_equal(k1, k2)
 
 
+@pytest.mark.parametrize("name", ["gamma", "mu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_params_reject_bad_weights(name, value):
+    with pytest.raises(sd.InvalidInputError, match=name):
+        KernelEstParams(**{name: value})
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
+def test_l0_smooth_rejects_bad_weight(mu):
+    # a nan mu would return the kernel unchanged
+    with pytest.raises(sd.InvalidInputError, match="mu"):
+        sd.l0_gradient_smooth(sd.kernel_preset("line-d", 7), mu)
+
+
 def test_params_validation():
     KernelEstParams()
     with pytest.raises(sd.InvalidInputError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import salientdeblur as sd
+from salientdeblur import metrics
 from salientdeblur.metrics import align_kernel, cumulative_table, evaluate_kernels
 
 
@@ -117,11 +118,15 @@ class TestEvaluation:
         table = cumulative_table([1.0, 2.0, 2.0, 9.0], thresholds=(1.5, 2.5, 10.0))
         assert table == [(1.5, 0.25), (2.5, 0.75), (10.0, 1.0)]
 
-    def test_evaluate_kernels_on_synthetic(self):
+    def test_evaluate_kernels_on_synthetic(self, monkeypatch):
+        calls = []
+        real = metrics._aligned_canvases
+        monkeypatch.setattr(metrics, "_aligned_canvases", lambda *a: calls.append(1) or real(*a))
         chart = sd.test_chart(96)
         k_true = sd.kernel_preset("line-h", 7)
         blurred = sd.synthesize(chart, k_true, noise_sigma=0.01, seed=8)
         report = evaluate_kernels(shifted(k_true, 1, 1), k_true, blurred, chart)
+        assert len(calls) == 1                # one shift search registers the kernel
         assert report.ssde <= 1e-12           # same kernel after alignment
         assert report.error_ratio == pytest.approx(1.0, abs=1e-6)
         assert report.alignment_shift == (-1, -1)

@@ -115,6 +115,13 @@ class TestAdaptiveTV:
         with pytest.raises(sd.InvalidInputError):
             sd.adaptive_tv_denoise(img, 0.1, np.full((5, 5), 1.5))
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, 0.0, -0.1])
+    def test_rejects_bad_theta(self, theta):
+        # a nan or inf theta would return the input unchanged
+        img = np.random.default_rng(3).random((8, 8))
+        with pytest.raises(sd.InvalidInputError, match="theta"):
+            sd.adaptive_tv_denoise(img, theta)
+
     @pytest.mark.parametrize("max_iters, tol", [(-1, 1e-3), (100, -1e-3)])
     def test_rejects_negative_budget(self, max_iters, tol):
         # max_iters = -1 would run no iteration and silently return the input
@@ -154,11 +161,16 @@ class TestShockFilter:
 
 
 class TestSelectSalientEdges:
-    def test_zero_threshold_keeps_all(self):
+    def test_zero_threshold_keeps_all(self, monkeypatch):
+        import salientdeblur.structure as structure
+
+        calls = []
+        monkeypatch.setattr(structure, "gradients", lambda a: calls.append(1) or sd.gradients(a))
         img = np.random.default_rng(7).random((10, 10))
         g = sd.gradients(img)
         sel = sd.select_salient_edges(img, 0.0)
         assert np.array_equal(sel.gx, g.gx) and np.array_equal(sel.gy, g.gy)
+        assert len(calls) == 1  # the mask reuses the selection's gradients
 
     def test_above_max_drops_all(self):
         img = np.random.default_rng(8).random((10, 10))
@@ -186,6 +198,14 @@ class TestSelectSalientEdges:
         assert np.array_equal(sel.gx[mask], g.gx[mask])
         assert np.array_equal(sel.gy[mask], g.gy[mask])
         assert not sel.gx[~mask].any() and not sel.gy[~mask].any()
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -0.1])
+    def test_rejects_bad_threshold(self, threshold):
+        # a nan threshold would give an all-False mask
+        img = np.random.default_rng(7).random((10, 10))
+        for select in (sd.salient_mask, sd.select_salient_edges):
+            with pytest.raises(sd.InvalidInputError, match="threshold"):
+                select(img, threshold)
 
 
 class TestInitThreshold:
