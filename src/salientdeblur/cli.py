@@ -32,10 +32,10 @@ from .pipeline import (
     load_config,
     structure_pass,
 )
-from .structure import MASK_RULES, salient_mask
+from .structure import salient_mask
 
-# Config keys settable by a flag of the same name; these two have their own.
-_CONFIG_FLAGS = {k: t for k, t in _CONFIG_TYPES.items() if k not in ("kernel_size", "mask_rule")}
+# Config keys settable by a flag of the same name; kernel_size has its own.
+_CONFIG_FLAGS = {k: t for k, t in _CONFIG_TYPES.items() if k != "kernel_size"}
 
 _DEFAULT_KERNEL_SIZE = 15
 
@@ -44,8 +44,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="config file of 'key = value' lines")
     parser.add_argument("--kernel-size", type=int, metavar="N",
                         help="blur kernel side length (odd)")
-    parser.add_argument("--mask-rule", choices=MASK_RULES,
-                        help="salient-edge mask rule (default magnitude)")
     group = parser.add_argument_group("parameter overrides")
     for name, typ in _CONFIG_FLAGS.items():
         group.add_argument("--" + name.replace("_", "-"), type=typ, dest=name,
@@ -63,7 +61,7 @@ def _build_config(args, kernel_size_required: bool = True) -> DeblurConfig:
             kernel_size = _DEFAULT_KERNEL_SIZE
         cfg = DeblurConfig(kernel_size=kernel_size)
     overrides = {}
-    for name in (*_CONFIG_FLAGS, "mask_rule"):
+    for name in _CONFIG_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -155,7 +153,7 @@ def _cmd_structure(args) -> int:
     mask_path = prefix.with_name(prefix.name + "_mask.png")
     edges_path = prefix.with_name(prefix.name + "_edges.png")
     fileio.write_image(structure_path, np.clip(structure, 0.0, 1.0))
-    fileio.write_image(mask_path, salient_mask(enhanced, t, cfg.mask_rule).astype(float))
+    fileio.write_image(mask_path, salient_mask(enhanced, t).astype(float))
     fileio.write_image(edges_path, np.clip(poisson_reconstruct(grad_s), 0.0, 1.0))
     print("structure: wrote %s, %s, %s (threshold %.5f)"
           % (structure_path, mask_path, edges_path, t))

@@ -313,9 +313,14 @@ class BlurOperator:
 def resize(img, shape) -> np.ndarray:
     """Bilinear resize to an explicit (h, w); no range clamping."""
     a = np.asarray(img, dtype=np.float64)
-    oh, ow = int(shape[0]), int(shape[1])
-    if oh < 1 or ow < 1:
-        raise InvalidInputError("resample: output dimensions must be >= 1")
+    if a.ndim not in (2, 3) or a.shape[0] < 1 or a.shape[1] < 1:
+        raise InvalidInputError("resample: expected a non-empty 2D or (h, w, c) array, got shape %s"
+                                % (a.shape,))
+    if len(shape) != 2:
+        raise InvalidInputError("resample: output shape must be (h, w), got %r" % (shape,))
+    oh, ow = shape
+    _check_count(oh, 1, "resample: output height")
+    _check_count(ow, 1, "resample: output width")
     h, w = a.shape[:2]
 
     def axis_coords(n_in: int, n_out: int):

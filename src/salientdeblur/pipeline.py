@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _shift_zero, as_image, delta_kernel, gradients, resample, resize, to_grayscale
+from .core import _check_count, _shift_zero, as_image, delta_kernel, gradients, resample, resize, to_grayscale
 from .deconv import adaptive_deconv, tv_deconv
 from .errors import InvalidInputError, TexturelessImageError
 from .kernel_est import KernelEstParams, estimate_kernel, mu_schedule, project_kernel
 from .structure import (
-    MASK_RULES,
     adaptive_tv_denoise,
     init_threshold,
     r_map,
@@ -39,9 +38,11 @@ _MAX_RELAX = 5
 @dataclass
 class DeblurConfig:
     """The model weights of the blind pipeline; defaults follow the method's
-    reference settings.  Solver budgets are the defaults of the solvers that
-    run them (``KernelEstParams``, ``adaptive_tv_denoise``, ``shock_filter``)
-    or, for the restorations, constants of ``deconv``."""
+    reference settings.  Salient edges are selected by gradient magnitude.
+    Solver budgets, the kernel fit's alternation count ``KernelEstParams.itr``
+    among them, are the defaults of the solvers that run them
+    (``KernelEstParams``, ``adaptive_tv_denoise``, ``shock_filter``) or, for
+    the restorations, constants of ``deconv``."""
 
     kernel_size: int
     theta0: float = 1.0
@@ -49,11 +50,9 @@ class DeblurConfig:
     lambda_final: float = 0.003
     gamma: float = 0.01
     alpha: float = 0.5
-    itr: int = 2
     inner_iters: int = 5
     decay: float = 1.1
     window: int = 5
-    mask_rule: str = "magnitude"
     mu: float | None = None          # None: size-based schedule per level
     threshold: float | None = None   # None: adaptive initialization
 
@@ -77,8 +76,6 @@ class DeblurConfig:
             raise InvalidInputError("config: theta0, lambda_c and lambda_final must be > 0")
         if self.window < 3 or self.window % 2 == 0:
             raise InvalidInputError("config: window must be odd and >= 3")
-        if self.mask_rule not in MASK_RULES:
-            raise InvalidInputError("config: mask_rule must be one of %s" % (MASK_RULES,))
         if self.mu is not None and self.mu < 0:
             raise InvalidInputError("config: mu must be >= 0")
         if self.threshold is not None and self.threshold < 0:
@@ -89,12 +86,12 @@ class DeblurConfig:
 
     def kernel_params(self, level_kernel_size: int) -> KernelEstParams:
         mu = self.mu if self.mu is not None else mu_schedule(level_kernel_size)
-        return KernelEstParams(gamma=self.gamma, alpha=self.alpha, mu=mu, itr=self.itr)
+        return KernelEstParams(gamma=self.gamma, alpha=self.alpha, mu=mu)
 
 
 # The schema of config files and CLI flags: every field's value type, read
 # from its annotation ("float | None" is an optional float).
-_CONFIG_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type.split(" | ")[0]]
+_CONFIG_TYPES = {f.name: {"int": int, "float": float}[f.type.split(" | ")[0]]
                  for f in fields(DeblurConfig)}
 _OPTIONAL_KEYS = {f.name for f in fields(DeblurConfig) if f.type.endswith(" | None")}
 
@@ -166,9 +163,17 @@ def build_schedule(image_shape, kernel_size: int, theta0: float = 1.0, decay: fl
     """Coarse-to-fine pyramid: consecutive scales shrink by sqrt(2)/2 until the
     kernel side lands in [3, 7]; per-level kernel sizes round to the nearest
     odd integer (floored at 3)."""
-    h, w = int(image_shape[0]), int(image_shape[1])
-    if kernel_size < 3 or kernel_size % 2 == 0:
-        raise InvalidInputError("schedule: kernel_size must be odd and >= 3")
+    h, w = image_shape[0], image_shape[1]
+    _check_count(h, 1, "schedule: image height")
+    _check_count(w, 1, "schedule: image width")
+    _check_count(kernel_size, 3, "schedule: kernel_size")
+    if kernel_size % 2 == 0:
+        raise InvalidInputError("schedule: kernel_size must be odd, got %d" % kernel_size)
+    if not (math.isfinite(theta0) and theta0 > 0):
+        raise InvalidInputError("schedule: theta0 must be a finite number > 0, got %r" % (theta0,))
+    if not (math.isfinite(decay) and decay > 1):
+        raise InvalidInputError("schedule: decay must be a finite number > 1, got %r" % (decay,))
+    _check_count(inner_iters, 1, "schedule: inner_iters")
     if kernel_size > h or kernel_size > w:
         raise InvalidInputError("schedule: kernel %d does not fit image %s" % (kernel_size, (h, w)))
     n = 0
@@ -234,7 +239,7 @@ def _extract_structure(image, omega, theta: float, threshold: float | None, kern
     if t is None:
         t = init_threshold(gradients(enhanced), enhanced.size, kernel_size ** 2)
     for _ in range(_MAX_RELAX + 1):
-        grad_s = select_salient_edges(enhanced, t, config.mask_rule)
+        grad_s = select_salient_edges(enhanced, t)
         if np.any(grad_s.gx) or np.any(grad_s.gy):
             return structure, enhanced, t, grad_s
         if t == 0.0:

@@ -13,14 +13,8 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .core import GradientField, _inner, _pad_replicate, divergence, gradients
+from .core import GradientField, _check_count, _inner, _pad_replicate, divergence, gradients
 from .errors import InvalidInputError
-
-MASK_RULES = ("magnitude", "conjunction")
-
-# Divisor applied to the single-axis gradient components in the edge
-# strength triple before thresholding.
-_AXIS_DIVISOR = 5.0 * math.sqrt(2.0)
 
 
 def _window_sum(a: np.ndarray, window: int) -> np.ndarray:
@@ -46,8 +40,9 @@ def r_map(image, window: int = 5) -> np.ndarray:
     a = np.asarray(image, dtype=np.float64)
     if a.ndim != 2:
         raise InvalidInputError("structure: r_map expects a single-channel image")
-    if window < 3 or window % 2 == 0:
-        raise InvalidInputError("structure: window must be odd and >= 3")
+    _check_count(window, 3, "structure: window")
+    if window % 2 == 0:
+        raise InvalidInputError("structure: window must be odd, got %d" % window)
     g = gradients(a)
     sx = _window_sum(g.gx, window)
     sy = _window_sum(g.gy, window)
@@ -92,8 +87,10 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
         raise InvalidInputError("structure: adaptive_tv_denoise expects a single-channel image")
     if not (math.isfinite(theta) and theta > 0):
         raise InvalidInputError("structure: theta must be a finite number > 0, got %r" % (theta,))
-    if max_iters < 0 or tol < 0:
-        raise InvalidInputError("structure: max_iters and tol must be >= 0")
+    _check_count(max_iters, 0, "structure: max_iters and tol are budgets; max_iters")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidInputError("structure: max_iters and tol are budgets; tol must be a finite "
+                                "number >= 0, got %r" % (tol,))
     if omega is None:
         lam = np.full_like(f, theta)
     else:
@@ -148,8 +145,7 @@ def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
         raise InvalidInputError("structure: shock_filter expects a single-channel image")
     if not 0 < dt <= 1:
         raise InvalidInputError("structure: dt must be in (0, 1]")
-    if steps < 0:
-        raise InvalidInputError("structure: steps must be >= 0")
+    _check_count(steps, 0, "structure: steps")
     lo, hi = a.min(), a.max()
     out = a.copy()
     for _ in range(steps):
@@ -170,37 +166,23 @@ def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
     return out
 
 
-def _edge_strength(g: GradientField):
-    mag = np.hypot(g.gx, g.gy)
-    return mag, np.abs(g.gx) / _AXIS_DIVISOR, np.abs(g.gy) / _AXIS_DIVISOR
-
-
-def _mask(g: GradientField, threshold: float, rule: str) -> np.ndarray:
+def _mask(g: GradientField, threshold: float) -> np.ndarray:
     if not (math.isfinite(threshold) and threshold >= 0):
         raise InvalidInputError("structure: threshold must be a finite number >= 0, got %r"
                                 % (threshold,))
-    if rule not in MASK_RULES:
-        raise InvalidInputError("structure: mask_rule must be one of %s" % (MASK_RULES,))
-    mag, ax, ay = _edge_strength(g)
-    mask = mag >= threshold
-    if rule == "conjunction":
-        mask &= (ax >= threshold) & (ay >= threshold)
-    return mask
+    return np.hypot(g.gx, g.gy) >= threshold
 
 
-def salient_mask(enhanced, threshold: float, rule: str = "magnitude") -> np.ndarray:
-    """Boolean mask of pixels whose edge strength reaches the threshold.
-
-    ``magnitude`` thresholds the gradient norm alone; ``conjunction``
-    additionally requires both scaled single-axis components to reach it.
-    """
-    return _mask(gradients(np.asarray(enhanced, dtype=np.float64)), threshold, rule)
+def salient_mask(enhanced, threshold: float) -> np.ndarray:
+    """Boolean mask of pixels whose gradient magnitude reaches the threshold."""
+    return _mask(gradients(np.asarray(enhanced, dtype=np.float64)), threshold)
 
 
-def select_salient_edges(enhanced, threshold: float, rule: str = "magnitude") -> GradientField:
-    """Gradient field of the enhanced structure, zeroed outside the salient mask."""
+def select_salient_edges(enhanced, threshold: float) -> GradientField:
+    """Gradient field of the enhanced structure, zeroed where the gradient
+    magnitude falls below the threshold."""
     g = gradients(np.asarray(enhanced, dtype=np.float64))
-    mask = _mask(g, threshold, rule)
+    mask = _mask(g, threshold)
     return GradientField(np.where(mask, g.gx, 0.0), np.where(mask, g.gy, 0.0))
 
 
@@ -213,8 +195,8 @@ def init_threshold(grad: GradientField, image_pixels: int, kernel_pixels: int) -
     member, and the smallest contribution wins.  Returns 0 when every group
     is too sparse (degenerate input; the caller must handle it).
     """
-    if image_pixels < 1 or kernel_pixels < 1:
-        raise InvalidInputError("structure: pixel counts must be >= 1")
+    _check_count(image_pixels, 1, "structure: image_pixels")
+    _check_count(kernel_pixels, 1, "structure: kernel_pixels")
     gx = np.asarray(grad[0], dtype=np.float64).ravel()
     gy = np.asarray(grad[1], dtype=np.float64).ravel()
     mag = np.hypot(gx, gy)

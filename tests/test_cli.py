@@ -24,7 +24,7 @@ class TestHelp:
         with pytest.raises(SystemExit):
             run(["deblur", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--kernel-size", "--crop", "--mask-rule", "--gamma", "--lambda-c", "--config"):
+        for flag in ("--kernel-size", "--crop", "--gamma", "--lambda-c", "--config"):
             assert flag in out
 
     def test_every_config_field_has_a_flag_of_its_type(self):
@@ -35,10 +35,6 @@ class TestHelp:
             if f.name == "kernel_size":
                 args = parser.parse_args(["deblur", "--input", "a", "--output", "b", "--kernel-size", "9"])
                 assert args.kernel_size == 9
-            elif f.name == "mask_rule":
-                args = parser.parse_args(["deblur", "--input", "a", "--output", "b",
-                                          "--mask-rule", "conjunction"])
-                assert args.mask_rule == "conjunction"
             else:
                 args = parser.parse_args(["deblur", "--input", "a", "--output", "b",
                                           "--" + f.name.replace("_", "-"), "3"])
@@ -78,23 +74,30 @@ class TestErrors:
         assert rc == 2
         assert "no_such_key" in capsys.readouterr().err
 
-    def test_solver_budget_config_key_exit_2(self, tmp_path, capsys):
-        # solver budgets are fixed in their solvers, not config keys
+    @pytest.mark.parametrize("key, value", [
+        ("cg_iters_final", "50"), ("mask_rule", "magnitude"), ("itr", "2"),
+    ])
+    def test_solver_budget_config_key_exit_2(self, key, value, tmp_path, capsys):
+        # solver budgets are fixed in their solvers, and removed tunables are
+        # fixed in the method; neither is a config key
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("kernel_size = 7\ncg_iters_final = 50\n")
+        cfg.write_text("kernel_size = 7\n%s = %s\n" % (key, value))
         img = tmp_path / "img.png"
         sd.write_image(img, sd.test_chart(64))
         rc = run(["deblur", "--input", str(img), "--output", str(tmp_path / "o.png"),
                   "--config", str(cfg)])
         assert rc == 2
-        assert "unknown key 'cg_iters_final'" in capsys.readouterr().err
+        assert "unknown key %r" % key in capsys.readouterr().err
 
-    def test_solver_budget_flag_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [
+        ("--tv-iters", "40"), ("--mask-rule", "magnitude"), ("--itr", "2"),
+    ])
+    def test_solver_budget_flag_is_usage_error(self, flag, value, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             run(["deblur", "--input", str(tmp_path / "a.png"), "--output", str(tmp_path / "o.png"),
-                 "--kernel-size", "7", "--tv-iters", "40"])
+                 "--kernel-size", "7", flag, value])
         assert info.value.code == 2
-        assert "--tv-iters" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     def test_non_finite_config_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

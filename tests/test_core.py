@@ -262,6 +262,16 @@ class TestResample:
         with pytest.raises(sd.InvalidInputError):
             sd.resample(img, 0.01)
 
+    @pytest.mark.parametrize("shape, size", [
+        ((24, 24), (np.nan, 5)), ((24, 24), (5.0, 5)), ((24, 24), (5, 0)),
+        ((24, 24, 3, 1), (5, 5)), ((24,), (5, 5)), ((0, 5), (3, 3)), ((24, 24), (5, 5, 5)),
+    ])
+    def test_resize_rejects_bad_shape(self, shape, size):
+        # a nan size or a 4-D image used to end in a raw ValueError
+        img = np.random.default_rng(8).random(shape)
+        with pytest.raises(sd.InvalidInputError, match="resample"):
+            sd.resize(img, size)
+
 
 class TestPoisson:
     def test_consistent_field_recovery(self):

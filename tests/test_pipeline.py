@@ -59,6 +59,21 @@ class TestBuildSchedule:
         with pytest.raises(sd.InvalidInputError):
             sd.build_schedule((64, 64), 8)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"kernel_size": math.nan}, "kernel_size"), ({"kernel_size": 9.0}, "kernel_size"),
+        ({"kernel_size": True}, "kernel_size"), ({"decay": 0.0}, "decay"),
+        ({"decay": 1.0}, "decay"), ({"decay": math.nan}, "decay"),
+        ({"theta0": math.nan}, "theta0"), ({"theta0": 0.0}, "theta0"),
+        ({"inner_iters": 0}, "inner_iters"), ({"inner_iters": 2.0}, "inner_iters"),
+        ({"image_shape": (math.nan, 64)}, "height"), ({"image_shape": (64, 0)}, "width"),
+    ])
+    def test_rejects_what_config_rejects(self, kwargs, name):
+        # the ranges of DeblurConfig.validate; nan levels and a raw
+        # ZeroDivisionError were the results before
+        args = {"image_shape": (64, 64), "kernel_size": 9, **kwargs}
+        with pytest.raises(sd.InvalidInputError, match=name):
+            sd.build_schedule(**args)
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -69,7 +84,6 @@ class TestConfig:
         assert cfg.lambda_final == 0.003
         assert cfg.gamma == 0.01
         assert cfg.alpha == 0.5
-        assert cfg.itr == 2
         assert cfg.inner_iters == 5
         assert cfg.decay == 1.1
         assert cfg.window == 5
@@ -85,7 +99,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("mu", math.nan), ("theta0", math.inf), ("gamma", math.nan), ("lambda_c", math.nan),
         ("lambda_final", math.nan), ("threshold", math.nan), ("decay", math.inf),
-        ("kernel_size", 7.0), ("itr", True), ("inner_iters", None), ("alpha", "0.5"),
+        ("kernel_size", 7.0), ("inner_iters", True), ("inner_iters", None), ("alpha", "0.5"),
         ("window", 5.0), ("alpha", math.inf),
     ])
     def test_validate_rejects_non_finite_and_mistyped(self, key, value):
@@ -99,8 +113,6 @@ class TestConfig:
             value = getattr(base, f.name)
             if value is None:
                 changed[f.name] = 0.25
-            elif isinstance(value, str):
-                changed[f.name] = "conjunction"
             else:
                 changed[f.name] = value + 2 if isinstance(value, int) else value * 1.5
         cfg = replace(base, **changed)
@@ -112,10 +124,9 @@ class TestConfig:
         assert parse_config_text("kernel_size = 7\nmu = none\nthreshold = None\n") == base
 
     def test_parse_config_text(self):
-        cfg = parse_config_text("kernel_size = 11\ngamma = 0.02\nmask_rule = conjunction\n# comment\n\nmu = none\n")
+        cfg = parse_config_text("kernel_size = 11\ngamma = 0.02\n# comment\n\nmu = none\n")
         assert cfg.kernel_size == 11
         assert cfg.gamma == 0.02
-        assert cfg.mask_rule == "conjunction"
         assert cfg.mu is None
 
     def test_unknown_key_is_error(self):

@@ -35,6 +35,13 @@ class TestRMap:
             r = sd.r_map(rng.random((15, 17)), 5)
             assert r.min() >= 0.0 and r.max() < 1.0
 
+    @pytest.mark.parametrize("window", [5.0, np.nan, True, 1, 4])
+    def test_rejects_bad_window(self, window):
+        # a float window used to end in a raw IndexError
+        img = np.random.default_rng(0).random((24, 24))
+        with pytest.raises(sd.InvalidInputError, match="window"):
+            sd.r_map(img, window)
+
 
 class TestSmoothWeight:
     def test_zero(self):
@@ -129,6 +136,16 @@ class TestAdaptiveTV:
         with pytest.raises(sd.InvalidInputError, match="max_iters and tol"):
             sd.adaptive_tv_denoise(img, 0.1, None, max_iters, tol)
 
+    @pytest.mark.parametrize("max_iters, tol", [
+        (2.5, 1e-3), (True, 1e-3), (100, np.nan), (100, np.inf),
+    ])
+    def test_rejects_mistyped_budget(self, max_iters, tol):
+        # a float max_iters used to end in a raw TypeError; a nan tol ran
+        # every iteration
+        img = np.random.default_rng(3).random((24, 24))
+        with pytest.raises(sd.InvalidInputError, match="max_iters and tol"):
+            sd.adaptive_tv_denoise(img, 1.0, None, max_iters, tol)
+
 
 class TestShockFilter:
     def test_zero_steps_identity(self):
@@ -151,6 +168,13 @@ class TestShockFilter:
         gin = sd.gradients(img)
         gout = sd.gradients(out)
         assert np.hypot(gout.gx, gout.gy).max() > np.hypot(gin.gx, gin.gy).max()
+
+    @pytest.mark.parametrize("steps", [2.5, True, -1])
+    def test_rejects_bad_steps(self, steps):
+        # a float step count used to end in a raw TypeError
+        img = np.random.default_rng(6).random((24, 24))
+        with pytest.raises(sd.InvalidInputError, match="steps"):
+            sd.shock_filter(img, 1.0, steps)
 
     def test_range_clamped(self):
         rng = np.random.default_rng(6)
@@ -179,15 +203,12 @@ class TestSelectSalientEdges:
         sel = sd.select_salient_edges(img, t)
         assert not sel.gx.any() and not sel.gy.any()
 
-    def test_rule_difference_on_axis_aligned_edge(self):
+    def test_axis_aligned_step_edge_is_kept(self):
         # one vertical edge: gradient (1, 0) at the step
         img = np.zeros((8, 8))
         img[:, 4:] = 1.0
-        mag_sel = sd.select_salient_edges(img, 0.5, "magnitude")
-        con_sel = sd.select_salient_edges(img, 0.5, "conjunction")
-        assert mag_sel.gx.any()              # magnitude rule keeps it: 1 >= 0.5
-        assert not con_sel.gx.any()          # |dy|/(5 sqrt 2) = 0 < 0.5 drops it
-        assert not con_sel.gy.any()
+        sel = sd.select_salient_edges(img, 0.5)
+        assert sel.gx.any()                  # magnitude 1 >= 0.5 keeps it
 
     def test_kept_pixels_bitwise_masked_exact_zero(self):
         img = np.random.default_rng(9).random((12, 12))
@@ -246,6 +267,15 @@ class TestInitThreshold:
         z = np.zeros((30, 30))
         assert sd.init_threshold(sd.GradientField(z, z), 900, 25) == 0.0
 
+    @pytest.mark.parametrize("image_pixels, kernel_pixels", [
+        (np.nan, 9), (np.inf, 9), (576.0, 9), (576, 0), (0, 9), (576, True),
+    ])
+    def test_rejects_bad_pixel_counts(self, image_pixels, kernel_pixels):
+        # nan used to end in a raw ValueError, inf in an OverflowError
+        g = sd.gradients(np.random.default_rng(12).random((24, 24)))
+        with pytest.raises(sd.InvalidInputError, match="pixels"):
+            sd.init_threshold(g, image_pixels, kernel_pixels)
+
     def test_mask_grows_as_threshold_decays(self):
         img = np.random.default_rng(12).random((32, 32))
         g = sd.gradients(img)
@@ -256,7 +286,7 @@ class TestInitThreshold:
 
 def test_config_validates_structure_ranges():
     sd.DeblurConfig(kernel_size=7).validate()
-    for bad in ({"theta0": 0.0}, {"window": 4}, {"mask_rule": "sometimes"}):
+    for bad in ({"theta0": 0.0}, {"window": 4}):
         with pytest.raises(sd.InvalidInputError):
             sd.DeblurConfig(kernel_size=7, **bad).validate()
     # the shock step is no config key; its own range check guards it
