@@ -14,6 +14,8 @@ Blur kernels are small odd-sided 2D arrays, non-negative and summing to one.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +88,11 @@ def _check_count(value, least: int, what: str) -> None:
     """An iteration budget: an integer (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise InvalidInputError("%s must be an integer >= %d, got %r" % (what, least, value))
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_kernel_shape(kernel: np.ndarray) -> None:
@@ -237,13 +244,17 @@ def convolve(img, kernel, mode: str = "fft") -> np.ndarray:
 class BlurOperator:
     """Blur by a fixed kernel on a fixed single-channel shape, plus its adjoint.
 
-    Caches the kernel's frequency response and keeps three buffers (a pad
-    frame, a half spectrum and a real frame) that all three methods run on,
-    through one forward half and one adjoint half.  Each 2-D transform runs
-    as a row call and a column call, skipping the row transforms whose input
-    is known zero or whose output is discarded.  ``forward`` and ``adjoint``
-    return new arrays; ``normal`` returns a view that the next call of any
-    of the three overwrites.  Not safe to share between threads.
+    Caches the kernel's frequency response and keeps two buffers, a half
+    spectrum and a real frame, that all three methods run on, through one
+    forward half and one adjoint half.  The replicate-pad frame is the real
+    frame's top-left corner: the pad is read by the first row transform,
+    before anything else is written there, so an input that itself shares
+    the real frame (such as the view ``normal`` returns) is copied first.
+    Each 2-D transform runs as a row call and a column call, skipping the
+    row transforms whose input is known zero or whose output is discarded.
+    ``forward`` and ``adjoint`` return new arrays; ``normal`` returns a view
+    that the next call of any of the three overwrites.  Not safe to share
+    between threads.
     """
 
     def __init__(self, kernel, shape):
@@ -257,9 +268,9 @@ class BlurOperator:
         self._ry, self._rx = kh // 2, kw // 2
         fh, fw = _fast_len(h + kh - 1), _fast_len(w + kw - 1)
         self._fk = np.fft.rfft2(self.kernel, s=(fh, fw))
-        self._pad = np.empty((h + kh - 1, w + kw - 1))
         self._spec = np.empty((fh, fw // 2 + 1), dtype=np.complex128)
         self._real = np.empty((fh, fw))
+        self._pad = self._real[: h + kh - 1, : w + kw - 1]
         # the crop: rows and columns forward keeps, where adjoint embeds
         self._crop = (slice(kh - 1, kh - 1 + h), slice(kw - 1, kw - 1 + w))
 
@@ -282,6 +293,8 @@ class BlurOperator:
 
     def _forward(self, u: np.ndarray) -> None:
         """Replicate pad, transform, multiply, inverse on the crop rows."""
+        if np.may_share_memory(u, self._real):
+            u = u.copy()  # the pad below would overwrite it
         spec, rows, hp, fw = self._spec, self._crop[0], self._pad.shape[0], self._real.shape[1]
         np.fft.rfft(_pad_replicate(u, self._ry, self._rx, out=self._pad), n=fw, axis=1, out=spec[:hp])
         spec[hp:] = 0.0
@@ -349,8 +362,8 @@ def resample(img, factor: float) -> np.ndarray:
     interpolation kernel serves both upsampling and downsampling.
     """
     img = as_image(img)
-    if not np.isfinite(factor) or factor <= 0:
-        raise InvalidInputError("resample: factor must be positive")
+    if not (_is_real(factor) and math.isfinite(factor) and factor > 0):
+        raise InvalidInputError("resample: factor must be a finite number > 0, got %r" % (factor,))
     h, w = img.shape[:2]
     oh = int(np.floor(h * factor + 0.5))
     ow = int(np.floor(w * factor + 0.5))

@@ -13,6 +13,14 @@ so each reweighting is a majorize-minimize descent step on the true energy.
 A CG step allocates no image-size array: the blur's normal operator and the
 regularizer write into buffers kept for the whole restoration, and the CG
 vectors update in place, with the same arithmetic as the plain expressions.
+The reweighting writes its weights in place too, and reads the image
+without copying it.  A gray restoration at 319^2 with a 15^2 kernel holds
+about 14 image planes above its input: the blur operator's frames and kernel
+response (about 4), the right-hand side, two weight buffers, the shared
+difference scratch, the divergence and its scratch (6), and the four CG
+vectors; a warm start adds the previous iterate.  An RGB final restoration
+also holds the two structure weights and the finished channels, about 19
+planes at its peak.
 """
 
 from __future__ import annotations
@@ -85,37 +93,47 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
                         irls_iters: int, cg_iters: int, floor: float, *,
                         warm_start: bool = False) -> np.ndarray:
     rhs = op.adjoint(image)
-    out = image.copy()
     h, w = image.shape
-    # The regularizer runs on buffers kept for the whole call.  It repeats
-    # the arithmetic of gradients() and divergence() slice by slice, so each
-    # sum rounds as theirs do; tx and ty drop the zero last column and row
-    # of the gradients, which the divergence never reads.
-    tx = np.empty((h, w - 1))
-    ty = np.empty((h - 1, w))
+    # The weights and the regularizer run on buffers kept for the whole call.
+    # They repeat the arithmetic of gradients() and divergence() slice by
+    # slice, so each value rounds as theirs does.  The weights and the
+    # weighted differences drop the zero last column and row of the
+    # gradients, which the divergence never reads; the x- and y-differences
+    # share one scratch, because the x-terms are summed into div before the
+    # y-terms are formed.
+    wx, wy = np.empty((h, w - 1)), np.empty((h - 1, w))
+    scratch = np.empty(max(wx.size, wy.size))
+    tx, ty = scratch[: wx.size].reshape(wx.shape), scratch[: wy.size].reshape(wy.shape)
     div = np.empty((h, w))
     diff = np.empty((h, w))
+    bx = np.broadcast_to(wx_base, (h, w))[:, :-1]
+    by = np.broadcast_to(wy_base, (h, w))[:-1, :]
     scale = -0.5 * lam  # (0.5 * lam) * (-div), with the exact negation moved
+
+    def apply_a(u):
+        div.fill(0.0)
+        np.multiply(wx, np.subtract(u[:, 1:], u[:, :-1], out=tx), out=tx)
+        if w >= 2:
+            div[:, 0] += tx[:, 0]
+            div[:, 1:-1] += np.subtract(tx[:, 1:], tx[:, :-1], out=diff[:, 1:-1])
+            div[:, -1] -= tx[:, -1]
+        np.multiply(wy, np.subtract(u[1:, :], u[:-1, :], out=ty), out=ty)
+        if h >= 2:
+            div[0, :] += ty[0, :]
+            div[1:-1, :] += np.subtract(ty[1:, :], ty[:-1, :], out=diff[1:-1, :])
+            div[-1, :] -= ty[-1, :]
+        return np.add(op.normal(u), np.multiply(scale, div, out=div), out=div)
+
+    def weigh(d, base):  # base / max(|d|, floor), in d's buffer
+        np.divide(base, np.maximum(np.abs(d, out=d), floor, out=d), out=d)
+
+    out = image  # only read: the first weights and the first warm start
     for _ in range(irls_iters):
-        g = gradients(out)
-        wx = (wx_base / np.maximum(np.abs(g.gx), floor))[:, :-1]
-        wy = (wy_base / np.maximum(np.abs(g.gy), floor))[:-1, :]
-
-        def apply_a(u):
-            np.multiply(wx, np.subtract(u[:, 1:], u[:, :-1], out=tx), out=tx)
-            np.multiply(wy, np.subtract(u[1:, :], u[:-1, :], out=ty), out=ty)
-            div.fill(0.0)
-            if w >= 2:
-                div[:, 0] += tx[:, 0]
-                div[:, 1:-1] += np.subtract(tx[:, 1:], tx[:, :-1], out=diff[:, 1:-1])
-                div[:, -1] -= tx[:, -1]
-            if h >= 2:
-                div[0, :] += ty[0, :]
-                div[1:-1, :] += np.subtract(ty[1:, :], ty[:-1, :], out=diff[1:-1, :])
-                div[-1, :] -= ty[-1, :]
-            return np.add(op.normal(u), np.multiply(scale, div, out=div), out=div)
-
-        out = cg_solve(apply_a, rhs, cg_iters, x0=out if warm_start else None)
+        weigh(np.subtract(out[:, 1:], out[:, :-1], out=wx), bx)
+        weigh(np.subtract(out[1:, :], out[:-1, :], out=wy), by)
+        x0 = out if warm_start else None
+        del out  # a cold start reads nothing of the last iterate
+        out = cg_solve(apply_a, rhs, cg_iters, x0=x0)
         if not np.all(np.isfinite(out)):
             raise NumericalError("deconvolution: non-finite iterate")
     return out

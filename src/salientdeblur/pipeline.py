@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _check_count, _shift_zero, as_image, delta_kernel, gradients, resample, resize, to_grayscale
+from .core import (_check_count, _is_real, _shift_zero, as_image, delta_kernel, gradients, resample, resize,
+                   to_grayscale)
 from .deconv import adaptive_deconv, tv_deconv
 from .errors import InvalidInputError, TexturelessImageError
 from .kernel_est import KernelEstParams, estimate_kernel, mu_schedule, project_kernel
@@ -63,8 +64,7 @@ class DeblurConfig:
                 continue
             if typ is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise InvalidInputError("config: %s must be an integer, got %r" % (name, value))
-            if typ is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                                 or not math.isfinite(value)):
+            if typ is float and not (_is_real(value) and math.isfinite(value)):
                 raise InvalidInputError("config: %s must be a finite number, got %r" % (name, value))
         if self.kernel_size < 3 or self.kernel_size % 2 == 0:
             raise InvalidInputError("config: kernel_size must be odd and >= 3")
@@ -335,10 +335,12 @@ def deblur_blind(image, config: DeblurConfig, crop=None, progress=None):
         result = estimate_blur_kernel(crop_region(img, crop), config, progress=progress)
         # The crop's structure field does not cover the full frame; rebuild it
         # from an interim full-frame restoration at the final (t, theta).
-        gray = to_grayscale(img)
-        interim = tv_deconv(gray, result.kernel, config.lambda_c)
-        _, _, _, grad_s = structure_pass(np.clip(interim, 0.0, 1.0), config,
+        # Neither the gray frame nor the interim is held through the final
+        # restoration.
+        interim = tv_deconv(to_grayscale(img), result.kernel, config.lambda_c)
+        _, _, _, grad_s = structure_pass(np.clip(interim, 0.0, 1.0, out=interim), config,
                                          theta=result.theta, threshold=result.threshold)
+        del interim
     else:
         result = estimate_blur_kernel(img, config, progress=progress)
         grad_s = result.grad_s

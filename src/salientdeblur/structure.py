@@ -13,8 +13,18 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .core import GradientField, _check_count, _inner, _pad_replicate, divergence, gradients
+from .core import GradientField, _check_count, _inner, _is_real, _pad_replicate, divergence, gradients
 from .errors import InvalidInputError
+
+
+def _channel(image, stage: str) -> np.ndarray:
+    """A stage's input: a single-channel image of finite samples, as float64."""
+    a = np.asarray(image, dtype=np.float64)
+    if a.ndim != 2:
+        raise InvalidInputError("structure: %s expects a single-channel image" % stage)
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("structure: %s expects finite samples" % stage)
+    return a
 
 
 def _window_sum(a: np.ndarray, window: int) -> np.ndarray:
@@ -37,9 +47,7 @@ def r_map(image, window: int = 5) -> np.ndarray:
     Near zero where the window is flat or gradients cancel (fine texture),
     near one on coherent structure.  Windows are clipped at the image border.
     """
-    a = np.asarray(image, dtype=np.float64)
-    if a.ndim != 2:
-        raise InvalidInputError("structure: r_map expects a single-channel image")
+    a = _channel(image, "r_map")
     _check_count(window, 3, "structure: window")
     if window % 2 == 0:
         raise InvalidInputError("structure: window must be odd, got %d" % window)
@@ -82,9 +90,7 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
     is returned; the input itself is iterate zero, hence the output energy
     never exceeds the input's.
     """
-    f = np.asarray(image, dtype=np.float64)
-    if f.ndim != 2:
-        raise InvalidInputError("structure: adaptive_tv_denoise expects a single-channel image")
+    f = _channel(image, "adaptive_tv_denoise")
     if not (math.isfinite(theta) and theta > 0):
         raise InvalidInputError("structure: theta must be a finite number > 0, got %r" % (theta,))
     _check_count(max_iters, 0, "structure: max_iters and tol are budgets; max_iters")
@@ -140,11 +146,9 @@ def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
     differences); the gradient magnitude uses minmod upwinding.  Output is
     clamped to the input's min/max range each step.
     """
-    a = np.asarray(image, dtype=np.float64)
-    if a.ndim != 2:
-        raise InvalidInputError("structure: shock_filter expects a single-channel image")
-    if not 0 < dt <= 1:
-        raise InvalidInputError("structure: dt must be in (0, 1]")
+    a = _channel(image, "shock_filter")
+    if not (_is_real(dt) and 0 < dt <= 1):
+        raise InvalidInputError("structure: dt must be a number in (0, 1], got %r" % (dt,))
     _check_count(steps, 0, "structure: steps")
     lo, hi = a.min(), a.max()
     out = a.copy()
@@ -175,13 +179,13 @@ def _mask(g: GradientField, threshold: float) -> np.ndarray:
 
 def salient_mask(enhanced, threshold: float) -> np.ndarray:
     """Boolean mask of pixels whose gradient magnitude reaches the threshold."""
-    return _mask(gradients(np.asarray(enhanced, dtype=np.float64)), threshold)
+    return _mask(gradients(_channel(enhanced, "salient_mask")), threshold)
 
 
 def select_salient_edges(enhanced, threshold: float) -> GradientField:
     """Gradient field of the enhanced structure, zeroed where the gradient
     magnitude falls below the threshold."""
-    g = gradients(np.asarray(enhanced, dtype=np.float64))
+    g = gradients(_channel(enhanced, "select_salient_edges"))
     mask = _mask(g, threshold)
     return GradientField(np.where(mask, g.gx, 0.0), np.where(mask, g.gy, 0.0))
 

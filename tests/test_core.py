@@ -154,6 +154,19 @@ class TestConvolve:
         assert np.array_equal(op.forward(img), sd.convolve(img, k, "fft"))
 
 
+def warm_peak(call):
+    """Traced peak of a second call, in bytes above what existed before it."""
+    import tracemalloc
+
+    call()  # numpy's FFT plan cache fills on the first call
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestNormalOperator:
     # (frame, kernel): square and non-square frames, a 1x1 kernel, a kernel
     # as large as the frame, 1xN and Nx1 strips, and non-square kernels
@@ -198,6 +211,21 @@ class TestNormalOperator:
             op.adjoint(rng.normal(size=(19, 23)))
         assert np.array_equal(fu, fu_kept) and np.array_equal(au, au_kept)
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_input_sharing_the_frame_is_read_before_the_pad(self, flip):
+        # the pad frame is a corner of the real frame; an input that is a
+        # view of it (the one normal returns, or that view flipped) must
+        # give what a copy of it gives
+        rng = np.random.default_rng(17)
+        k = rng.random((5, 7))
+        op = sd.BlurOperator(k / k.sum(), (19, 23))
+        for method in ("normal", "forward", "adjoint"):
+            v = op.normal(rng.normal(size=(19, 23)))
+            v = v[::-1, ::-1] if flip else v
+            kept = v.copy()
+            got = getattr(op, method)(v).copy()
+            assert np.array_equal(got, getattr(op, method)(kept))
+
     def test_operators_do_not_share_buffers(self):
         rng = np.random.default_rng(13)
         k = np.full((5, 5), 1.0 / 25.0)
@@ -208,32 +236,20 @@ class TestNormalOperator:
         nu = nu.copy()  # first's next call overwrites the view
         assert np.array_equal(nu, first.adjoint(first.forward(u)))
 
-    @staticmethod
-    def _warm_peak(call):
-        import tracemalloc
-
-        call()  # numpy's FFT plan cache fills on the first call
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_steady_state_allocates_no_image(self):
         rng = np.random.default_rng(14)
         k = rng.random((13, 13))
         op = sd.BlurOperator(k / k.sum(), (127, 127))
         u = rng.random((127, 127))
-        assert self._warm_peak(lambda: op.normal(u)) < 0.5 * u.nbytes  # no image-size temporary
+        assert warm_peak(lambda: op.normal(u)) < 0.5 * u.nbytes  # no image-size temporary
 
     def test_forward_and_adjoint_allocate_only_their_result(self):
         rng = np.random.default_rng(14)
         k = rng.random((13, 13))
         op = sd.BlurOperator(k / k.sum(), (127, 127))
         u = rng.random((127, 127))
-        assert self._warm_peak(lambda: op.forward(u)) <= 1.5 * u.nbytes
-        assert self._warm_peak(lambda: op.adjoint(u)) <= 1.5 * u.nbytes
+        assert warm_peak(lambda: op.forward(u)) <= 1.5 * u.nbytes
+        assert warm_peak(lambda: op.adjoint(u)) <= 1.5 * u.nbytes
 
 
 class TestResample:
@@ -261,6 +277,9 @@ class TestResample:
             sd.resample(img, 0.0)
         with pytest.raises(sd.InvalidInputError):
             sd.resample(img, 0.01)
+        for factor in ("a", True, np.nan):  # "a" used to end in a raw TypeError, True passed as 1
+            with pytest.raises(sd.InvalidInputError, match="factor"):
+                sd.resample(img, factor)
 
     @pytest.mark.parametrize("shape, size", [
         ((24, 24), (np.nan, 5)), ((24, 24), (5.0, 5)), ((24, 24), (5, 0)),

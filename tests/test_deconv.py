@@ -8,6 +8,7 @@ from salientdeblur.deconv import (CG_ITERS_FINAL, CG_ITERS_INTERIM, IRLS_ITERS, 
 from salientdeblur.kernel_est import KernelEstParams
 
 from oracles import irls_deconv_allocating
+from test_core import warm_peak
 
 def step_edge_instance():
     img = np.full((64, 64), 0.1)
@@ -389,3 +390,38 @@ class TestBufferedCore:
         k = np.full(kshape, 1.0 / np.prod(kshape))
         args = (img, BlurOperator(k, shape), 0.01, 1.0, 1.0, 2, 10, 1e-3)
         assert np.array_equal(_irls_deconv_single(*args), irls_deconv_allocating(*args))
+
+    def test_core_reads_its_image_without_writing_it(self):
+        # the first weights and the first warm start read the image in place
+        rng = np.random.default_rng(22)
+        img = rng.random((20, 17))
+        kept = img.copy()
+        k = np.full((3, 3), 1.0 / 9.0)
+        for warm_start in (False, True):
+            _irls_deconv_single(img, BlurOperator(k, img.shape), 0.01, 1.0, 1.0, 2, 10, 1e-3,
+                                warm_start=warm_start)
+            assert np.array_equal(img, kept)
+
+
+class TestWorkingSet:
+    """Traced peak of a warm call above its start, in planes of the image
+    (128², 9² kernel): the operator's two frames, the regularizer's kept
+    buffers, the CG vectors and, for RGB, the finished channels and the
+    structure weights."""
+
+    @staticmethod
+    def _planes(call, side):
+        return warm_peak(call) / (side * side * 8)
+
+    def test_gray_tv_deconv(self):
+        rng = np.random.default_rng(23)
+        k = rng.random((9, 9))
+        img = rng.random((128, 128))
+        assert self._planes(lambda: sd.tv_deconv(img, k / k.sum(), 0.005), 128) <= 17
+
+    def test_rgb_adaptive_deconv(self):
+        rng = np.random.default_rng(24)
+        k = rng.random((9, 9))
+        img = rng.random((128, 128, 3))
+        grad_s = sd.GradientField(0.1 * rng.normal(size=(128, 128)), 0.1 * rng.normal(size=(128, 128)))
+        assert self._planes(lambda: sd.adaptive_deconv(img, k / k.sum(), grad_s, 0.002), 128) <= 22

@@ -284,11 +284,25 @@ class TestInitThreshold:
         assert counts == sorted(counts)
 
 
+@pytest.mark.parametrize("stage", [
+    lambda img: sd.adaptive_tv_denoise(img, 1.0), sd.shock_filter, sd.r_map,
+    lambda img: sd.select_salient_edges(img, 0.1), lambda img: sd.salient_mask(img, 0.1),
+], ids=["adaptive_tv_denoise", "shock_filter", "r_map", "select_salient_edges", "salient_mask"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stages_reject_non_finite_images(stage, bad):
+    # these returned NaN arrays, or an all-zero field, without complaint
+    img = np.random.default_rng(9).random((8, 8))
+    img[3, 4] = bad
+    with pytest.raises(sd.InvalidInputError, match="finite"):
+        stage(img)
+
+
 def test_config_validates_structure_ranges():
     sd.DeblurConfig(kernel_size=7).validate()
     for bad in ({"theta0": 0.0}, {"window": 4}):
         with pytest.raises(sd.InvalidInputError):
             sd.DeblurConfig(kernel_size=7, **bad).validate()
     # the shock step is no config key; its own range check guards it
-    with pytest.raises(sd.InvalidInputError, match="dt"):
-        sd.shock_filter(np.zeros((5, 5)), 1.5)
+    for dt in (1.5, True):  # a bool dt used to pass as 1
+        with pytest.raises(sd.InvalidInputError, match="dt"):
+            sd.shock_filter(np.zeros((5, 5)), dt)
