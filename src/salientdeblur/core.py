@@ -252,8 +252,9 @@ class BlurOperator:
     the real frame (such as the view ``normal`` returns) is copied first.
     Each 2-D transform runs as a row call and a column call, skipping the
     row transforms whose input is known zero or whose output is discarded.
-    ``forward`` and ``adjoint`` return new arrays; ``normal`` returns a view
-    that the next call of any of the three overwrites.  Not safe to share
+    All three take an array of exactly the operator's shape.  ``forward``
+    and ``adjoint`` return new arrays; ``normal`` returns a view that the
+    next call of any of the three overwrites.  Not safe to share
     between threads.
     """
 
@@ -275,10 +276,12 @@ class BlurOperator:
         self._crop = (slice(kh - 1, kh - 1 + h), slice(kw - 1, kw - 1 + w))
 
     def forward(self, img: np.ndarray) -> np.ndarray:
+        self._check_shape(img)
         self._forward(img)
         return self._real[self._crop].copy()
 
     def adjoint(self, img: np.ndarray) -> np.ndarray:
+        self._check_shape(img)
         self._real[self._crop] = img
         return self._adjoint().copy()
 
@@ -288,8 +291,14 @@ class BlurOperator:
         Returns a view of the kept buffers, overwritten by the next call of
         ``forward``, ``adjoint`` or ``normal``.  ``u`` is not modified.
         """
+        self._check_shape(u)
         self._forward(u)
         return self._adjoint()
+
+    def _check_shape(self, u) -> None:
+        if np.shape(u) != self.shape:
+            raise InvalidInputError("blur operator: input shape %s != operator shape %s"
+                                    % (np.shape(u), self.shape))
 
     def _forward(self, u: np.ndarray) -> None:
         """Replicate pad, transform, multiply, inverse on the crop rows."""
@@ -387,6 +396,8 @@ def poisson_reconstruct(g: GradientField) -> np.ndarray:
     gx, gy = np.asarray(g[0], dtype=np.float64), np.asarray(g[1], dtype=np.float64)
     if gx.shape != gy.shape:
         raise InvalidInputError("poisson: gx and gy shapes differ")
+    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
+        raise InvalidInputError("poisson: gradient field must be finite")
     h, w = gx.shape
     dx = np.exp(2j * np.pi * np.fft.fftfreq(w)) - 1.0
     dy = np.exp(2j * np.pi * np.fft.fftfreq(h)) - 1.0

@@ -7,9 +7,13 @@ edges are not smoothed away.  Both go through one validated entry that
 restores an image channel by channel on one blur operator.  Each
 reweighting solves its quadratic with a fixed budget of conjugate-gradient
 iterations on the normal equations; the budgets are module constants.  The
-interim restoration starts every reweighting's CG from zero; the final one
-starts it from the previous iterate, the point where the weights were taken,
-so each reweighting is a majorize-minimize descent step on the true energy.
+interim restoration runs 3 reweightings of 30 CG steps, each started from
+zero.  The final one runs 6 reweightings of 20 steps, each started from the
+previous iterate, the point where the weights were taken, so each
+reweighting is a majorize-minimize descent step on the true energy; its CG
+is preconditioned by the inverse of the normal operator's diagonal (sum of
+k^2, plus lam/2 times the up to four weights of the differences a pixel
+enters), rebuilt in place at each reweighting.
 A CG step allocates no image-size array: the blur's normal operator and the
 regularizer write into buffers kept for the whole restoration, and the CG
 vectors update in place, with the same arithmetic as the plain expressions.
@@ -18,9 +22,13 @@ without copying it.  A gray restoration at 319^2 with a 15^2 kernel holds
 about 14 image planes above its input: the blur operator's frames and kernel
 response (about 4), the right-hand side, two weight buffers, the shared
 difference scratch, the divergence and its scratch (6), and the four CG
-vectors; a warm start adds the previous iterate.  An RGB final restoration
-also holds the two structure weights and the finished channels, about 19
-planes at its peak.
+vectors; a warm start adds the previous iterate and the preconditioner one
+more plane.  An RGB final restoration also holds the two structure weights
+and the finished channels, about 20 planes at its peak.
+
+The crop path of the blind pipeline also takes a full-frame latent from
+``_l2_latent``: one exact Fourier-domain solve under a quadratic gradient
+prior on a replicate-padded periodic frame, with no CG at all.
 """
 
 from __future__ import annotations
@@ -29,69 +37,82 @@ import math
 
 import numpy as np
 
-from .core import BlurOperator, GradientField, _check_count, _check_kernel_weights, _inner, gradients
+from .core import BlurOperator, GradientField, _check_count, _check_kernel_weights, _fast_len, _inner, gradients
 from .errors import InvalidInputError, NumericalError
 from .structure import smooth_weight
 
 CG_TOL = 1e-10  # cg_solve's early exit, relative to ||b||
-IRLS_ITERS = 3  # reweightings per restoration
+IRLS_ITERS = 3  # reweightings, interim restoration
 CG_ITERS_INTERIM = 30  # cold-started CG steps per reweighting, interim restoration
-CG_ITERS_FINAL = 50  # warm-started CG steps per reweighting, final restoration
+IRLS_ITERS_FINAL = 6  # reweightings, final restoration
+CG_ITERS_FINAL = 20  # warm-started, Jacobi-preconditioned CG steps per reweighting, final restoration
 WEIGHT_FLOOR = 1e-3  # floor on |dI| in the reweighting
+L2_WEIGHT = 1e-2  # gradient weight of the closed-form latent
 
 
-def cg_solve(apply_a, b: np.ndarray, iters: int, *, x0: np.ndarray | None = None) -> np.ndarray:
+def cg_solve(apply_a, b: np.ndarray, iters: int, *, x0: np.ndarray | None = None,
+             minv: np.ndarray | None = None) -> np.ndarray:
     """Conjugate gradients with a fixed iteration budget.
 
     ``iters`` is a non-negative integer; 0 returns the start.  Starts from
     zero, or from a copy of ``x0`` (left unmodified); the initial residual
     ``b - A x0`` costs one application of ``apply_a``, which must behave as
     a symmetric positive semidefinite operator on arrays shaped like ``b``.
-    ``apply_a`` may return a buffer it overwrites on its next call: each
-    result is used up before the next application.  The vector updates run
-    in place, so a step allocates nothing beyond what ``apply_a`` does.
-    Exits early once the residual norm falls below ``CG_TOL * ||b||``; raises
-    NumericalError if a step scalar turns non-finite.
+    ``minv``, when given, is a positive array shaped like ``b`` that
+    preconditions the solve by elementwise multiplication (the inverse of
+    A's diagonal, for Jacobi); without it the steps are plain CG's, which is
+    the preconditioned loop with the preconditioned residual equal to the
+    residual.  ``apply_a`` may return a buffer it overwrites on its next
+    call: each result is used up before the next application.  The vector
+    updates run in place, so a step allocates nothing beyond what
+    ``apply_a`` does.  Exits early once the residual norm falls below
+    ``CG_TOL * ||b||``; raises NumericalError if a step scalar turns
+    non-finite.
     """
     _check_count(iters, 0, "conjugate-gradient: iters")
+    for name, given in (("x0", x0), ("minv", minv)):
+        if given is not None and np.shape(given) != b.shape:
+            raise InvalidInputError("conjugate-gradient: %s shape %s != b shape %s"
+                                    % (name, np.shape(given), b.shape))
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
     else:
         x = np.array(x0, dtype=np.float64)
-        if x.shape != b.shape:
-            raise InvalidInputError("conjugate-gradient: x0 shape %s != b shape %s"
-                                    % (x.shape, b.shape))
         r = b - apply_a(x)
-    p = r.copy()
-    step = np.empty_like(r)
+    step = np.empty_like(r)  # the scaled updates, and the preconditioned residual
     rs = _inner(r, r)
     b_norm = np.sqrt(rs) if x0 is None else np.sqrt(_inner(b, b))
     if rs == 0.0:
         return x
+    z = r if minv is None else np.multiply(minv, r, out=step)
+    rz = rs if minv is None else _inner(r, z)
+    p = z.copy()
     for _ in range(iters):
         ap = apply_a(p)
         denom = _inner(p, ap)
         if denom == 0.0:
             break
-        alpha = rs / denom
+        alpha = rz / denom
         if not np.isfinite(alpha):
             raise NumericalError("conjugate-gradient: non-finite step scalar")
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=step)
-        rs_new = _inner(r, r)
-        if not np.isfinite(rs_new):
+        rs = _inner(r, r)
+        if not np.isfinite(rs):
             raise NumericalError("conjugate-gradient: non-finite residual")
-        if np.sqrt(rs_new) < CG_TOL * b_norm:
+        if np.sqrt(rs) < CG_TOL * b_norm:
             break
-        np.add(r, np.multiply(rs_new / rs, p, out=p), out=p)
-        rs = rs_new
+        z = r if minv is None else np.multiply(minv, r, out=step)
+        rz_new = rs if minv is None else _inner(r, z)
+        np.add(z, np.multiply(rz_new / rz, p, out=p), out=p)
+        rz = rz_new
     return x
 
 
 def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
                         irls_iters: int, cg_iters: int, floor: float, *,
-                        warm_start: bool = False) -> np.ndarray:
+                        warm_start: bool = False, precondition: bool = False) -> np.ndarray:
     rhs = op.adjoint(image)
     h, w = image.shape
     # The weights and the regularizer run on buffers kept for the whole call.
@@ -109,6 +130,7 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
     bx = np.broadcast_to(wx_base, (h, w))[:, :-1]
     by = np.broadcast_to(wy_base, (h, w))[:-1, :]
     scale = -0.5 * lam  # (0.5 * lam) * (-div), with the exact negation moved
+    minv = np.empty((h, w)) if precondition else None
 
     def apply_a(u):
         div.fill(0.0)
@@ -127,22 +149,35 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
     def weigh(d, base):  # base / max(|d|, floor), in d's buffer
         np.divide(base, np.maximum(np.abs(d, out=d), floor, out=d), out=d)
 
+    def invert_diagonal():  # 1 / (sum k^2 + lam/2 * the weights touching each pixel), in minv
+        # sum k^2 is the blur's diagonal away from the frame's edge
+        minv.fill(0.0)
+        minv[:, :-1] += wx
+        minv[:, 1:] += wx
+        minv[:-1, :] += wy
+        minv[1:, :] += wy
+        np.add(np.multiply(0.5 * lam, minv, out=minv), _inner(op.kernel, op.kernel), out=minv)
+        np.divide(1.0, minv, out=minv)
+
     out = image  # only read: the first weights and the first warm start
     for _ in range(irls_iters):
         weigh(np.subtract(out[:, 1:], out[:, :-1], out=wx), bx)
         weigh(np.subtract(out[1:, :], out[:-1, :], out=wy), by)
+        if precondition:
+            invert_diagonal()
         x0 = out if warm_start else None
         del out  # a cold start reads nothing of the last iterate
-        out = cg_solve(apply_a, rhs, cg_iters, x0=x0)
+        out = cg_solve(apply_a, rhs, cg_iters, x0=x0, minv=minv)
         if not np.all(np.isfinite(out)):
             raise NumericalError("deconvolution: non-finite iterate")
     return out
 
 
-def _restore(image, kernel, lam: float, wx_base, wy_base, cg_iters: int, warm_start: bool) -> np.ndarray:
+def _restore(image, kernel, lam: float, wx_base, wy_base, final: bool) -> np.ndarray:
     """Both restorations' entry: checks the image, ``lam`` and the kernel, and
     restores an (h, w) image, or an (h, w, c) one channel by channel, with
-    one blur operator and the same weights."""
+    one blur operator and the same weights.  ``final`` picks the final
+    restoration's budgets, warm start and preconditioner over the interim's."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim not in (2, 3):
         raise InvalidInputError("deconv: expected an (h, w) or (h, w, c) image, got shape %s"
@@ -154,14 +189,40 @@ def _restore(image, kernel, lam: float, wx_base, wy_base, cg_iters: int, warm_st
     k = np.asarray(kernel, dtype=np.float64)
     _check_kernel_weights(k)
     op = BlurOperator(k, img.shape[:2])
+    irls_iters, cg_iters = (IRLS_ITERS_FINAL, CG_ITERS_FINAL) if final else (IRLS_ITERS, CG_ITERS_INTERIM)
 
     def restore(channel):
-        return _irls_deconv_single(channel, op, lam, wx_base, wy_base, IRLS_ITERS, cg_iters,
-                                   WEIGHT_FLOOR, warm_start=warm_start)
+        return _irls_deconv_single(channel, op, lam, wx_base, wy_base, irls_iters, cg_iters,
+                                   WEIGHT_FLOOR, warm_start=final, precondition=final)
 
     if img.ndim == 2:
         return restore(img)
     return np.dstack([restore(img[:, :, c]) for c in range(img.shape[2])])
+
+
+def _l2_latent(image, kernel) -> np.ndarray:
+    """argmin ||k * x - b||^2 + L2_WEIGHT ||grad x||^2 by one Fourier solve.
+
+    The (h, w) image is replicate-padded by at least the kernel's side on
+    each edge, to 5-smooth frame sizes, and the quadratic is solved exactly
+    on that periodic frame (circular blur about the kernel's centre,
+    wrap-around forward differences); the frame is cropped back to (h, w).
+    The kernel must have a non-zero sum.
+    """
+    b = np.asarray(image, dtype=np.float64)
+    k = np.asarray(kernel, dtype=np.float64)
+    (h, w), (kh, kw) = b.shape, k.shape
+    fh, fw = _fast_len(h + 2 * kh), _fast_len(w + 2 * kw)
+    top, left = (fh - h) // 2, (fw - w) // 2
+    frame = np.pad(b, ((top, fh - h - top), (left, fw - w - left)), mode="edge")
+    otf = np.zeros((fh, fw))
+    otf[:kh, :kw] = k
+    fk = np.fft.rfft2(np.roll(otf, (-(kh // 2), -(kw // 2)), axis=(0, 1)))
+    # |exp(2 pi i f) - 1|^2 per axis: the forward difference's response
+    grad2 = ((2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(fh)))[:, None]
+             + (2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(fw)))[None, :])
+    spec = np.conj(fk) * np.fft.rfft2(frame) / (fk.real ** 2 + fk.imag ** 2 + L2_WEIGHT * grad2)
+    return np.fft.irfft2(spec, s=(fh, fw))[top : top + h, left : left + w]
 
 
 def deconv_objective(candidate, image, kernel, lam: float, grad_s: GradientField | None = None) -> float:
@@ -186,16 +247,17 @@ def tv_deconv(image, kernel, lambda_c: float) -> np.ndarray:
     reweighting's CG started from zero.  Multi-channel (h, w, c) images are
     restored channel by channel.
     """
-    return _restore(image, kernel, lambda_c, 1.0, 1.0, CG_ITERS_INTERIM, False)
+    return _restore(image, kernel, lambda_c, 1.0, 1.0, False)
 
 
 def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float) -> np.ndarray:
     """Final restoration with structure-adaptive smoothness weights.
 
     The per-direction regularizer weight is exp(-|dS|^0.8) / max(|dI|, floor),
-    so smoothing relaxes across salient edges.  Each reweighting's CG starts
-    from the previous iterate (the blurred image for the first).  Multi-channel
-    images are restored channel by channel with the same structure field.
+    so smoothing relaxes across salient edges.  Each reweighting's
+    Jacobi-preconditioned CG starts from the previous iterate (the blurred
+    image for the first).  Multi-channel images are restored channel by
+    channel with the same structure field.
     """
     sx = np.asarray(grad_s[0], dtype=np.float64)
     sy = np.asarray(grad_s[1], dtype=np.float64)
@@ -204,4 +266,4 @@ def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float) -> np.ndar
                                 % (sx.shape, np.shape(image)[:2]))
     if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
         raise InvalidInputError("deconv: structure field must be finite")
-    return _restore(image, kernel, lam, smooth_weight(sx), smooth_weight(sy), CG_ITERS_FINAL, True)
+    return _restore(image, kernel, lam, smooth_weight(sx), smooth_weight(sy), True)

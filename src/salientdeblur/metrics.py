@@ -113,6 +113,8 @@ def psnr(img, ref) -> float:
     b = np.asarray(ref, dtype=np.float64)
     if a.shape != b.shape:
         raise InvalidInputError("metrics: psnr images differ in shape: %s vs %s" % (a.shape, b.shape))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InvalidInputError("metrics: psnr images must be finite")
     mse = float(((a - b) ** 2).mean())
     if mse <= 0.0:
         return PSNR_CAP_DB

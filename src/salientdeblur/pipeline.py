@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (_check_count, _is_real, _shift_zero, as_image, delta_kernel, gradients, resample, resize,
                    to_grayscale)
-from .deconv import adaptive_deconv, tv_deconv
+from .deconv import _l2_latent, adaptive_deconv, tv_deconv
 from .errors import InvalidInputError, TexturelessImageError
 from .kernel_est import KernelEstParams, estimate_kernel, mu_schedule, project_kernel
 from .structure import (
@@ -333,16 +333,19 @@ def deblur_blind(image, config: DeblurConfig, crop=None, progress=None):
     _unit_image(img)
     if crop is not None:
         result = estimate_blur_kernel(crop_region(img, crop), config, progress=progress)
+        kernel, theta, threshold = result.kernel, result.theta, result.threshold
+        del result  # its crop-size structure field is not read again
         # The crop's structure field does not cover the full frame; rebuild it
-        # from an interim full-frame restoration at the final (t, theta).
-        # Neither the gray frame nor the interim is held through the final
-        # restoration.
-        interim = tv_deconv(to_grayscale(img), result.kernel, config.lambda_c)
-        _, _, _, grad_s = structure_pass(np.clip(interim, 0.0, 1.0, out=interim), config,
-                                         theta=result.theta, threshold=result.threshold)
-        del interim
+        # at the final (t, theta) from a full-frame latent, one closed-form
+        # solve under a quadratic gradient prior whose ringing and noise the
+        # structure step removes.  Neither the gray frame nor the latent is
+        # held through the final restoration.
+        latent = _l2_latent(to_grayscale(img), kernel)
+        _, _, _, grad_s = structure_pass(np.clip(latent, 0.0, 1.0, out=latent), config,
+                                         theta=theta, threshold=threshold)
+        del latent
     else:
         result = estimate_blur_kernel(img, config, progress=progress)
-        grad_s = result.grad_s
-    restored = adaptive_deconv(img, result.kernel, grad_s, config.lambda_final)
-    return result.kernel, np.clip(restored, 0.0, 1.0), grad_s
+        kernel, grad_s = result.kernel, result.grad_s
+    restored = adaptive_deconv(img, kernel, grad_s, config.lambda_final)
+    return kernel, np.clip(restored, 0.0, 1.0), grad_s

@@ -215,9 +215,10 @@ class FFT2Blur:
         return _fold_replicate(q[: h + kh - 1, : w + kw - 1], kh // 2, kw // 2)
 
 
-def _cg_allocating(apply_a, b, iters, x0=None, tol=1e-10):
+def _cg_allocating(apply_a, b, iters, x0=None, minv=None, tol=1e-10):
     """The conjugate-gradient loop of ``irls_deconv_allocating``: the
-    library's arithmetic, with a fresh array for every vector update."""
+    library's arithmetic, with a fresh array for every vector update, and
+    with Jacobi preconditioning by ``minv`` when it is given."""
 
     def inner(a, c):
         return float(np.einsum("i,i->", np.ravel(a), np.ravel(c)))
@@ -228,49 +229,63 @@ def _cg_allocating(apply_a, b, iters, x0=None, tol=1e-10):
     else:
         x = np.array(x0, dtype=np.float64)
         r = b - apply_a(x)
-    p = r.copy()
     rs = inner(r, r)
     b_norm = np.sqrt(rs) if x0 is None else np.sqrt(inner(b, b))
     if rs == 0.0:
         return x
+    z = r if minv is None else minv * r
+    rz = inner(r, z)
+    p = z.copy()
     for _ in range(iters):
         ap = apply_a(p)
         denom = inner(p, ap)
         if denom == 0.0:
             break
-        alpha = rs / denom
+        alpha = rz / denom
         x += alpha * p
         r -= alpha * ap
-        rs_new = inner(r, r)
-        if np.sqrt(rs_new) < tol * b_norm:
+        if np.sqrt(inner(r, r)) < tol * b_norm:
             break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = r if minv is None else minv * r
+        rz_new = inner(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return x
 
 
 def irls_deconv_allocating(image, op, lam, wx_base, wy_base, irls_iters, cg_iters, floor,
-                           warm_start=False):
+                           warm_start=False, precondition=False):
     """The IRLS restoration core as plain array expressions: the normal
     operator as adjoint(forward(.)) of the ``FFT2Blur`` oracle of ``op``'s
     kernel, the regularizer through the library's gradients() and
-    divergence(), and new arrays at every step."""
+    divergence(), the Jacobi preconditioner as the inverse of sum k^2 plus
+    lam/2 times the weights of the differences each pixel enters, and new
+    arrays at every step."""
     from salientdeblur.core import GradientField, divergence, gradients
 
     blur = FFT2Blur(op.kernel, op.shape)
     rhs = blur.adjoint(image)
+    k2 = float(np.einsum("i,i->", op.kernel.ravel(), op.kernel.ravel()))
     out = image.copy()
     for _ in range(irls_iters):
         g = gradients(out)
         wx = wx_base / np.maximum(np.abs(g.gx), floor)
         wy = wy_base / np.maximum(np.abs(g.gy), floor)
+        minv = None
+        if precondition:
+            touching = np.zeros_like(out)
+            touching[:, :-1] += wx[:, :-1]
+            touching[:, 1:] += wx[:, :-1]
+            touching[:-1, :] += wy[:-1, :]
+            touching[1:, :] += wy[:-1, :]
+            minv = 1.0 / ((0.5 * lam) * touching + k2)
 
         def apply_a(u):
             gu = gradients(u)
             reg = -divergence(GradientField(wx * gu.gx, wy * gu.gy))
             return blur.adjoint(blur.forward(u)) + (0.5 * lam) * reg
 
-        out = _cg_allocating(apply_a, rhs, cg_iters, x0=out if warm_start else None)
+        out = _cg_allocating(apply_a, rhs, cg_iters, x0=out if warm_start else None, minv=minv)
     return out
 
 

@@ -226,6 +226,15 @@ class TestNormalOperator:
             got = getattr(op, method)(v).copy()
             assert np.array_equal(got, getattr(op, method)(kept))
 
+    @pytest.mark.parametrize("method", ["forward", "normal", "adjoint"])
+    @pytest.mark.parametrize("shape", [(1, 18), (16, 1), (8, 18), (16, 18, 3)])
+    def test_wrong_input_shape_is_invalid_input(self, method, shape):
+        # these were broadcast into the frame, padded from the wrong edge, or
+        # ended in a raw ValueError
+        op = sd.BlurOperator(np.full((5, 5), 1.0 / 25.0), (16, 18))
+        with pytest.raises(sd.InvalidInputError, match="shape"):
+            getattr(op, method)(np.zeros(shape))
+
     def test_operators_do_not_share_buffers(self):
         rng = np.random.default_rng(13)
         k = np.full((5, 5), 1.0 / 25.0)

@@ -3,11 +3,12 @@ import pytest
 
 import salientdeblur as sd
 from salientdeblur.core import BlurOperator
-from salientdeblur.deconv import (CG_ITERS_FINAL, CG_ITERS_INTERIM, IRLS_ITERS, WEIGHT_FLOOR,
-                                  _irls_deconv_single, deconv_objective)
+from salientdeblur.core import _fast_len
+from salientdeblur.deconv import (CG_ITERS_FINAL, CG_ITERS_INTERIM, IRLS_ITERS, IRLS_ITERS_FINAL, L2_WEIGHT,
+                                  WEIGHT_FLOOR, _irls_deconv_single, _l2_latent, deconv_objective)
 from salientdeblur.kernel_est import KernelEstParams
 
-from oracles import irls_deconv_allocating
+from oracles import dense_from_operator, irls_deconv_allocating
 from test_core import warm_peak
 
 def step_edge_instance():
@@ -76,6 +77,32 @@ class TestCgSolve:
         buf = np.empty(10)
         reused = sd.cg_solve(lambda v: np.matmul(a, v, out=buf), b, 10)
         assert np.array_equal(reused, sd.cg_solve(lambda v: a @ v, b, 10))
+
+
+class TestCgSolvePreconditioned:
+    def test_unit_preconditioner_is_the_plain_solve_bitwise(self):
+        rng = np.random.default_rng(30)
+        a = random_spd(rng)
+        b = rng.normal(size=10)
+        x0 = rng.normal(size=10)
+        for start in (None, x0):
+            assert np.array_equal(sd.cg_solve(lambda v: a @ v, b, 7, x0=start, minv=np.ones(10)),
+                                  sd.cg_solve(lambda v: a @ v, b, 7, x0=start))
+
+    def test_random_preconditioner_matches_direct_solve(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            a = random_spd(rng)
+            b = rng.normal(size=10)
+            minv = rng.uniform(0.1, 10.0, size=10)
+            for start in (None, rng.normal(size=10)):
+                x = sd.cg_solve(lambda v: a @ v, b, 20, x0=start, minv=minv)
+                assert np.linalg.norm(a @ x - b) <= 1e-8
+                assert np.allclose(x, np.linalg.solve(a, b), atol=1e-7)
+
+    def test_mismatched_preconditioner_shape_is_invalid_input(self):
+        with pytest.raises(sd.InvalidInputError, match="minv"):
+            sd.cg_solve(lambda v: v, np.ones(4), 5, minv=np.ones(3))
 
 
 def random_spd(rng, n=10):
@@ -185,7 +212,8 @@ class TestAdaptiveDeconv:
         zeros = sd.GradientField(np.zeros_like(blurred), np.zeros_like(blurred))
         adaptive = sd.adaptive_deconv(blurred, kernel, zeros, 0.005)
         core = _irls_deconv_single(blurred, BlurOperator(kernel, blurred.shape), 0.005, 1.0, 1.0,
-                                   IRLS_ITERS, CG_ITERS_FINAL, WEIGHT_FLOOR, warm_start=True)
+                                   IRLS_ITERS_FINAL, CG_ITERS_FINAL, WEIGHT_FLOOR, warm_start=True,
+                                   precondition=True)
         assert np.array_equal(adaptive, core)
 
     def test_delta_kernel_tiny_lambda(self):
@@ -235,8 +263,9 @@ class TestAdaptiveDeconv:
                 assert np.array_equal(out[:, :, c], restore(blurred[:, :, c], k))
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_warm_start_objective_non_increasing(weighted):
+@pytest.mark.parametrize("weighted, precondition", [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["False", "True", "False-jacobi", "True-jacobi"])
+def test_warm_start_objective_non_increasing(weighted, precondition):
     rng = np.random.default_rng(13 + weighted)
     for _ in range(50):
         sharp = rng.random((16, 16))
@@ -250,7 +279,8 @@ def test_warm_start_objective_non_increasing(weighted):
         op = BlurOperator(k, blurred.shape)
         prev = None
         for iters in (1, 2, 3):
-            out = _irls_deconv_single(blurred, op, lam, wx, wy, iters, 30, 1e-3, warm_start=True)
+            out = _irls_deconv_single(blurred, op, lam, wx, wy, iters, 30, 1e-3, warm_start=True,
+                                      precondition=precondition)
             obj = deconv_objective(out, blurred, k, lam, grad_s)
             if prev is not None:
                 assert obj <= prev + 1e-6
@@ -366,9 +396,10 @@ def test_kernel_params_reject_non_integer_budgets(name, value):
 
 
 class TestBufferedCore:
-    @pytest.mark.parametrize("warm_start", [False, True])
+    @pytest.mark.parametrize("warm_start, precondition", [(False, False), (True, False), (True, True)],
+                             ids=["False", "True", "True-jacobi"])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_matches_allocating_oracle_bitwise(self, warm_start, weighted):
+    def test_matches_allocating_oracle_bitwise(self, warm_start, precondition, weighted):
         rng = np.random.default_rng(20)
         sharp = rng.random((40, 33))
         k = rng.random((7, 5))
@@ -380,8 +411,8 @@ class TestBufferedCore:
         else:
             wx = wy = 1.0
         args = (blurred, BlurOperator(k, blurred.shape), 0.004, wx, wy, 3, 25, 1e-3)
-        assert np.array_equal(_irls_deconv_single(*args, warm_start=warm_start),
-                              irls_deconv_allocating(*args, warm_start=warm_start))
+        flags = {"warm_start": warm_start, "precondition": precondition}
+        assert np.array_equal(_irls_deconv_single(*args, **flags), irls_deconv_allocating(*args, **flags))
 
     @pytest.mark.parametrize("shape,kshape", [((1, 12), (1, 3)), ((12, 1), (3, 1)), ((2, 2), (1, 1))])
     def test_strips_match_allocating_oracle_bitwise(self, shape, kshape):
@@ -425,3 +456,31 @@ class TestWorkingSet:
         img = rng.random((128, 128, 3))
         grad_s = sd.GradientField(0.1 * rng.normal(size=(128, 128)), 0.1 * rng.normal(size=(128, 128)))
         assert self._planes(lambda: sd.adaptive_deconv(img, k / k.sum(), grad_s, 0.002), 128) <= 22
+
+
+def test_l2_latent_solves_its_periodic_normal_equations():
+    # the replicate-padded frame's exact minimizer, by a dense solve of
+    # (K^T K + w D^T D) x = K^T b with circular blur and wrap-around differences
+    rng = np.random.default_rng(25)
+    image = rng.random((10, 12))
+    k = rng.random((3, 5))
+    k /= k.sum()
+    (h, w), (kh, kw) = image.shape, k.shape
+    fh, fw = _fast_len(h + 2 * kh), _fast_len(w + 2 * kw)
+    top, left = (fh - h) // 2, (fw - w) // 2
+    frame = np.pad(image, ((top, fh - h - top), (left, fw - w - left)), mode="edge")
+
+    def blur(u, kernel):
+        out = np.zeros_like(u)
+        for (i, j), kij in np.ndenumerate(kernel):
+            out += kij * np.roll(u, (i - kh // 2, j - kw // 2), axis=(0, 1))
+        return out
+
+    def normal(u):
+        dx, dy = np.roll(u, -1, axis=1) - u, np.roll(u, -1, axis=0) - u
+        dtd = (np.roll(dx, 1, axis=1) - dx) + (np.roll(dy, 1, axis=0) - dy)
+        return blur(blur(u, k), k[::-1, ::-1]) + L2_WEIGHT * dtd
+
+    a = dense_from_operator(normal, frame.shape)
+    x = np.linalg.solve(a, blur(frame, k[::-1, ::-1]).ravel()).reshape(frame.shape)
+    assert np.abs(_l2_latent(image, k) - x[top : top + h, left : left + w]).max() <= 1e-10

@@ -287,10 +287,13 @@ class TestInitThreshold:
 @pytest.mark.parametrize("stage", [
     lambda img: sd.adaptive_tv_denoise(img, 1.0), sd.shock_filter, sd.r_map,
     lambda img: sd.select_salient_edges(img, 0.1), lambda img: sd.salient_mask(img, 0.1),
-], ids=["adaptive_tv_denoise", "shock_filter", "r_map", "select_salient_edges", "salient_mask"])
+    lambda img: sd.poisson_reconstruct(sd.GradientField(img, np.zeros_like(img))),
+    lambda img: sd.psnr(np.zeros_like(img), img),
+], ids=["adaptive_tv_denoise", "shock_filter", "r_map", "select_salient_edges", "salient_mask",
+        "poisson_reconstruct", "psnr"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stages_reject_non_finite_images(stage, bad):
-    # these returned NaN arrays, or an all-zero field, without complaint
+    # these returned NaN arrays, an all-zero field or a NaN score without complaint
     img = np.random.default_rng(9).random((8, 8))
     img[3, 4] = bad
     with pytest.raises(sd.InvalidInputError, match="finite"):

@@ -1,0 +1,170 @@
+"""Restoration sweep: PSNR of the final restoration over presets, sizes and noise.
+
+Each cell is the built-in chart (``synth.test_chart``) at one size, blurred
+by one of the benchmark's kernels (``perfbench.inputs.kernel`` and
+``perfbench.inputs.blur``) plus Gaussian noise drawn from
+``default_rng([1, image side, 100 * sigma])`` and clipped to [0, 1].  Three
+modes restore it:
+
+* ``crop``: the crop path of ``deblur_blind`` with the true kernel.  The
+  whole frame is the crop, and the estimate's kernel is swapped for the true
+  one while its final threshold and smoothing strength are kept, so the
+  final restoration runs on the structure of the crop path's full-frame
+  latent.
+* ``blind``: ``deblur_blind`` without a crop (the pyramid's structure and
+  the estimated kernel).
+* ``deconv``: ``deconv --method adaptive`` with the true kernel (the
+  structure of the blurred input).
+
+Every cell is scored with ``perfbench.score.psnr`` on the interior (margin =
+kernel side), after undoing the estimated kernel's alignment shift in blind
+mode.  The kernel estimate of a cell is computed once and shared by the
+``crop`` and ``blind`` modes.
+
+Run it with the tree to measure on ``PYTHONPATH``, then compare two runs::
+
+    PYTHONPATH=src python tools/restore_sweep.py run --out after.json
+    PYTHONPATH=../parent/src python tools/restore_sweep.py run --out before.json
+    python tools/restore_sweep.py compare before.json after.json
+
+``compare`` prints every cell and, per mode and size, the mean over the
+noise levels of each kernel and of each preset (both l-curve kernels
+together); it exits 1 if a preset's mean falls.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench import inputs, score  # noqa: E402
+
+SIZES = (191, 255)
+KERNELS = (("line-d", 15), ("box", 13), ("l-curve", 15), ("l-curve", 21))
+SIGMAS = (0.01, 0.03)
+MODES = ("crop", "blind", "deconv")
+
+
+def cell_input(size: int, preset: str, ksize: int, sigma: float):
+    from salientdeblur.synth import test_chart
+
+    sharp = test_chart(size)
+    k = inputs.kernel(preset, ksize)
+    rng = np.random.default_rng([1, size, int(round(100 * sigma))])
+    blurred = np.clip(inputs.blur(sharp, k) + rng.normal(0.0, sigma, size=sharp.shape), 0.0, 1.0)
+    return sharp, k, blurred
+
+
+def run_cell(size: int, preset: str, ksize: int, sigma: float, modes) -> dict:
+    import salientdeblur as sd
+    from salientdeblur import pipeline
+
+    sharp, k_true, blurred = cell_input(size, preset, ksize, sigma)
+    config = sd.DeblurConfig(kernel_size=ksize)
+    row = {"size": size, "preset": preset, "ksize": ksize, "sigma": sigma}
+    estimate = pipeline.estimate_blur_kernel
+    memo = {}
+
+    def estimated(image, cfg, progress=None):
+        if "result" not in memo:
+            memo["result"] = estimate(image, cfg, progress=progress)
+        return memo["result"]
+
+    def with_true_kernel(image, cfg, progress=None):
+        return dataclasses.replace(estimated(image, cfg, progress), kernel=k_true)
+
+    try:
+        for mode in modes:
+            started = time.perf_counter()
+            shift = (0, 0)
+            if mode == "deconv":
+                _, _, _, grad_s = pipeline.structure_pass(blurred, config)
+                restored = sd.adaptive_deconv(blurred, k_true, grad_s, config.lambda_final)
+            elif mode == "crop":
+                pipeline.estimate_blur_kernel = with_true_kernel
+                _, restored, _ = sd.deblur_blind(blurred, config, crop=(0, 0, size, size))
+            else:
+                pipeline.estimate_blur_kernel = estimated
+                k_est, restored, _ = sd.deblur_blind(blurred, config)
+                row["ssde"], shift = score.ssde(k_est, k_true)
+            row[mode + "_s"] = time.perf_counter() - started
+            row[mode] = score.psnr(np.clip(restored, 0.0, 1.0), sharp, ksize, shift)
+    finally:
+        pipeline.estimate_blur_kernel = estimate
+    return row
+
+
+def cmd_run(args) -> int:
+    import salientdeblur
+
+    rows = []
+    for size in args.sizes:
+        for preset, ksize in KERNELS:
+            for sigma in SIGMAS:
+                row = run_cell(size, preset, ksize, sigma, args.modes)
+                rows.append(row)
+                print(json.dumps(row), file=sys.stderr)
+    Path(args.out).write_text(json.dumps({"source": salientdeblur.__file__, "rows": rows}, indent=1))
+    return 0
+
+
+def _key(row):
+    return (row["size"], row["preset"], row["ksize"], row["sigma"])
+
+
+def cmd_compare(args) -> int:
+    before = {_key(r): r for r in json.loads(Path(args.before).read_text())["rows"]}
+    after = {_key(r): r for r in json.loads(Path(args.after).read_text())["rows"]}
+    keys = [k for k in before if k in after]
+    modes = [m for m in MODES if all(m in before[k] and m in after[k] for k in keys)]
+    worse = []
+    for mode in modes:
+        print("\n%s mode, PSNR (dB)\n" % mode)
+        print("| size | kernel | noise | before | after | change |")
+        print("|---|---|---|---|---|---|")
+        for k in keys:
+            b, a = before[k][mode], after[k][mode]
+            print("| %d² | %s %d | %g%% | %.2f | %.2f | %+.2f |" % (k[0], k[1], k[2], 100 * k[3], b, a, a - b))
+        for width, label in ((3, "kernel"), (2, "preset")):
+            print("\n| size | %s | mean before | mean after | change |" % label)
+            print("|---|---|---|---|---|")
+            for group in dict.fromkeys(k[:width] for k in keys):
+                members = [k for k in keys if k[:width] == group]
+                b = float(np.mean([before[k][mode] for k in members]))
+                a = float(np.mean([after[k][mode] for k in members]))
+                print("| %d² | %s | %.2f | %.2f | %+.2f |" % (group[0], " ".join(map(str, group[1:])), b, a, a - b))
+                if width == 2 and a < b:
+                    worse.append((mode,) + group)
+        b = float(np.mean([before[k][mode] for k in keys]))
+        a = float(np.mean([after[k][mode] for k in keys]))
+        print("\nall %d cells: %.2f -> %.2f dB (%+.2f)" % (len(keys), b, a, a - b))
+    if worse:
+        print("\nmean over noise fell: %s" % worse)
+        return 1
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    run = sub.add_parser("run", help="restore and score every cell with the salientdeblur on the path")
+    run.add_argument("--out", required=True)
+    run.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    run.add_argument("--modes", nargs="+", choices=MODES, default=list(MODES))
+    cmp_ = sub.add_parser("compare", help="tabulate two runs and check the per-group means")
+    cmp_.add_argument("before")
+    cmp_.add_argument("after")
+    args = parser.parse_args(argv)
+    return cmd_run(args) if args.command == "run" else cmd_compare(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
