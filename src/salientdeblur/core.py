@@ -60,10 +60,19 @@ def to_grayscale(img) -> np.ndarray:
 def gradients(img) -> GradientField:
     """Forward differences with replicate boundary (zero in the last column/row)."""
     a = np.asarray(img, dtype=np.float64)
-    gx = np.zeros_like(a)
+    gx = np.zeros_like(a)  # in a's memory order, which later sums' rounding follows
     gy = np.zeros_like(a)
-    gx[:, :-1] = a[:, 1:] - a[:, :-1]
-    gy[:-1, :] = a[1:, :] - a[:-1, :]
+    if a.flags.c_contiguous:
+        # Differences of the flat arrays, which numpy runs without iteration
+        # buffers; the x-differences that wrap from a row's end to the next
+        # row's start land in the last column and are zeroed.
+        flat, n, w = a.reshape(-1), a.size, a.shape[1]
+        np.subtract(flat[1:], flat[:-1], out=gx.reshape(-1)[:-1])
+        gx[:, -1:] = 0.0
+        np.subtract(flat[w:], flat[: n - w], out=gy.reshape(-1)[: n - w])
+    else:
+        np.subtract(a[:, 1:], a[:, :-1], out=gx[:, :-1])
+        np.subtract(a[1:, :], a[:-1, :], out=gy[:-1, :])
     return GradientField(gx, gy)
 
 
@@ -122,11 +131,14 @@ def check_kernel(kernel) -> np.ndarray:
 
 def delta_kernel(size) -> np.ndarray:
     """Centered unit impulse of the given odd size (int or (h, w))."""
-    if np.isscalar(size):
-        size = (int(size), int(size))
-    kh, kw = size
-    if kh % 2 == 0 or kw % 2 == 0 or kh < 1 or kw < 1:
-        raise InvalidInputError("kernel: delta size must be odd and positive")
+    sides = (size, size) if np.ndim(size) == 0 else tuple(size)
+    if len(sides) != 2:
+        raise InvalidInputError("kernel: delta size must be an int or (h, w), got %r" % (size,))
+    kh, kw = sides
+    for side in sides:
+        _check_count(side, 1, "kernel: delta side")
+        if side % 2 == 0:
+            raise InvalidInputError("kernel: delta size must be odd and positive, got %r" % (size,))
     k = np.zeros((kh, kw))
     k[kh // 2, kw // 2] = 1.0
     return k
@@ -254,7 +266,9 @@ class BlurOperator:
     row transforms whose input is known zero or whose output is discarded.
     All three take an array of exactly the operator's shape.  ``forward``
     and ``adjoint`` return new arrays; ``normal`` returns a view that the
-    next call of any of the three overwrites.  Not safe to share
+    next call of any of the three overwrites.  Nothing lives in the real
+    frame between two calls, so ``scratch`` lends it to the caller for
+    values that are dead whenever the operator runs.  Not safe to share
     between threads.
     """
 
@@ -294,6 +308,16 @@ class BlurOperator:
         self._check_shape(u)
         self._forward(u)
         return self._adjoint()
+
+    def scratch(self) -> np.ndarray:
+        """A contiguous array of the operator's shape over the real frame.
+
+        Lent, not owned: every call of ``forward``, ``adjoint`` or ``normal``
+        overwrites it, so it may hold only values that are used up before
+        the next call.  Passing it to the operator is safe but costs a copy.
+        """
+        h, w = self.shape
+        return self._real.reshape(-1)[: h * w].reshape(h, w)
 
     def _check_shape(self, u) -> None:
         if np.shape(u) != self.shape:

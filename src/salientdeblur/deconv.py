@@ -18,13 +18,19 @@ A CG step allocates no image-size array: the blur's normal operator and the
 regularizer write into buffers kept for the whole restoration, and the CG
 vectors update in place, with the same arithmetic as the plain expressions.
 The reweighting writes its weights in place too, and reads the image
-without copying it.  A gray restoration at 319^2 with a 15^2 kernel holds
-about 14 image planes above its input: the blur operator's frames and kernel
+without copying it; the final restoration forms its structure weights
+exp(-|dS|^0.8) in the weight buffers at each reweighting rather than holding
+them.  The iterate is one buffer for the whole call, which a warm start
+updates in place (``cg_solve(..., out=)``), and the CG step and the
+divergence's differences borrow the blur operator's real frame, which
+nothing needs between two applications (``BlurOperator.scratch``).  A gray
+interim restoration at 319^2 with a 15^2 kernel holds about 12 image planes
+above its input: the blur operator's half spectrum, real frame and kernel
 response (about 4), the right-hand side, two weight buffers, the shared
-difference scratch, the divergence and its scratch (6), and the four CG
-vectors; a warm start adds the previous iterate and the preconditioner one
-more plane.  An RGB final restoration also holds the two structure weights
-and the finished channels, about 20 planes at its peak.
+difference scratch and the divergence (5), and the iterate and two CG
+vectors (3); the final restoration's preconditioner adds one more.  An RGB
+final restoration also holds the finished channels, about 15 planes at its
+peak.
 
 The crop path of the blind pipeline also takes a full-frame latent from
 ``_l2_latent``: one exact Fourier-domain solve under a quadratic gradient
@@ -37,7 +43,8 @@ import math
 
 import numpy as np
 
-from .core import BlurOperator, GradientField, _check_count, _check_kernel_weights, _fast_len, _inner, gradients
+from .core import (BlurOperator, GradientField, _check_count, _check_kernel_weights, _fast_len, _inner, _is_real,
+                   gradients)
 from .errors import InvalidInputError, NumericalError
 from .structure import smooth_weight
 
@@ -51,36 +58,57 @@ L2_WEIGHT = 1e-2  # gradient weight of the closed-form latent
 
 
 def cg_solve(apply_a, b: np.ndarray, iters: int, *, x0: np.ndarray | None = None,
-             minv: np.ndarray | None = None) -> np.ndarray:
+             minv: np.ndarray | None = None, out: np.ndarray | None = None,
+             step: np.ndarray | None = None) -> np.ndarray:
     """Conjugate gradients with a fixed iteration budget.
 
-    ``iters`` is a non-negative integer; 0 returns the start.  Starts from
-    zero, or from a copy of ``x0`` (left unmodified); the initial residual
-    ``b - A x0`` costs one application of ``apply_a``, which must behave as
-    a symmetric positive semidefinite operator on arrays shaped like ``b``.
-    ``minv``, when given, is a positive array shaped like ``b`` that
-    preconditions the solve by elementwise multiplication (the inverse of
-    A's diagonal, for Jacobi); without it the steps are plain CG's, which is
-    the preconditioned loop with the preconditioned residual equal to the
+    ``b`` is a real array (integers are taken as float64).  ``iters`` is a
+    non-negative integer; 0 returns the start.  Starts from zero, or from
+    ``x0``; the initial residual ``b - A x0`` costs one application of
+    ``apply_a``, which must behave as a symmetric positive semidefinite
+    operator on arrays shaped like ``b``.  ``minv``, when given, is a
+    finite, positive array shaped like ``b`` that preconditions the solve
+    by elementwise multiplication (the inverse of A's diagonal, for
+    Jacobi); without it the steps are plain CG's, which is the
+    preconditioned loop with the preconditioned residual equal to the
     residual.  ``apply_a`` may return a buffer it overwrites on its next
-    call: each result is used up before the next application.  The vector
-    updates run in place, so a step allocates nothing beyond what
-    ``apply_a`` does.  Exits early once the residual norm falls below
-    ``CG_TOL * ||b||``; raises NumericalError if a step scalar turns
+    call: each result is used up before the next application.
+
+    The iterate lives in ``out`` when given (a float64 array shaped like
+    ``b``, which is returned), else in a new array.  ``x0`` is copied into
+    it and left unmodified, unless ``x0`` is ``out`` itself: then the solve
+    warm-starts in place.  ``step``, when given, is a float64 array shaped
+    like ``b`` for the scaled updates and the preconditioned residual; its
+    content is dead whenever ``apply_a`` runs, so ``apply_a`` may overwrite
+    it.  The vector updates run in place, so a step allocates nothing
+    beyond what ``apply_a`` does.  Exits early once the residual norm falls
+    below ``CG_TOL * ||b||``; raises NumericalError if a step scalar turns
     non-finite.
     """
     _check_count(iters, 0, "conjugate-gradient: iters")
-    for name, given in (("x0", x0), ("minv", minv)):
+    b = np.asarray(b)
+    if b.dtype.kind not in "iuf":
+        raise InvalidInputError("conjugate-gradient: b must be a real array, got dtype %s" % b.dtype)
+    b = b.astype(np.float64, copy=False)
+    for name, given in (("x0", x0), ("minv", minv), ("out", out), ("step", step)):
         if given is not None and np.shape(given) != b.shape:
             raise InvalidInputError("conjugate-gradient: %s shape %s != b shape %s"
                                     % (name, np.shape(given), b.shape))
+    for name, given in (("out", out), ("step", step)):
+        if given is not None and not (isinstance(given, np.ndarray) and given.dtype == np.float64):
+            raise InvalidInputError("conjugate-gradient: %s must be a float64 array" % name)
+    if minv is not None and not (np.all(np.isfinite(minv)) and np.all(np.greater(minv, 0.0))):
+        raise InvalidInputError("conjugate-gradient: minv must be finite and > 0")
+    x = np.empty_like(b) if out is None else out
     if x0 is None:
-        x = np.zeros_like(b)
+        x.fill(0.0)
         r = b.copy()
     else:
-        x = np.array(x0, dtype=np.float64)
+        if x0 is not x:
+            np.copyto(x, x0)
         r = b - apply_a(x)
-    step = np.empty_like(r)  # the scaled updates, and the preconditioned residual
+    if step is None:
+        step = np.empty_like(r)  # the scaled updates, and the preconditioned residual
     rs = _inner(r, r)
     b_norm = np.sqrt(rs) if x0 is None else np.sqrt(_inner(b, b))
     if rs == 0.0:
@@ -112,7 +140,11 @@ def cg_solve(apply_a, b: np.ndarray, iters: int, *, x0: np.ndarray | None = None
 
 def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
                         irls_iters: int, cg_iters: int, floor: float, *,
-                        warm_start: bool = False, precondition: bool = False) -> np.ndarray:
+                        warm_start: bool = False, precondition: bool = False,
+                        structure: bool = False) -> np.ndarray:
+    # ``structure``: wx_base and wy_base are the structure field's
+    # derivatives, and the weight bases their smooth_weight, formed in the
+    # weight buffers at each reweighting instead of held for the whole call.
     rhs = op.adjoint(image)
     h, w = image.shape
     # The weights and the regularizer run on buffers kept for the whole call.
@@ -121,16 +153,19 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
     # weighted differences drop the zero last column and row of the
     # gradients, which the divergence never reads; the x- and y-differences
     # share one scratch, because the x-terms are summed into div before the
-    # y-terms are formed.
+    # y-terms are formed, and the reweighting holds |dI| there.  The blur's
+    # lent frame holds the divergence's differences, used up before normal()
+    # overwrites it, and CG's step, which is dead whenever apply_a runs.
     wx, wy = np.empty((h, w - 1)), np.empty((h - 1, w))
     scratch = np.empty(max(wx.size, wy.size))
     tx, ty = scratch[: wx.size].reshape(wx.shape), scratch[: wy.size].reshape(wy.shape)
     div = np.empty((h, w))
-    diff = np.empty((h, w))
+    diff = step = op.scratch()
     bx = np.broadcast_to(wx_base, (h, w))[:, :-1]
     by = np.broadcast_to(wy_base, (h, w))[:-1, :]
     scale = -0.5 * lam  # (0.5 * lam) * (-div), with the exact negation moved
     minv = np.empty((h, w)) if precondition else None
+    x = np.empty((h, w))  # the iterate, kept across the reweightings
 
     def apply_a(u):
         div.fill(0.0)
@@ -146,8 +181,9 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
             div[-1, :] -= ty[-1, :]
         return np.add(op.normal(u), np.multiply(scale, div, out=div), out=div)
 
-    def weigh(d, base):  # base / max(|d|, floor), in d's buffer
-        np.divide(base, np.maximum(np.abs(d, out=d), floor, out=d), out=d)
+    def weigh(wt, t, base):  # base weight / max(|dI|, floor) in wt, with dI in t
+        np.maximum(np.abs(t, out=t), floor, out=t)
+        np.divide(smooth_weight(base, out=wt) if structure else base, t, out=wt)
 
     def invert_diagonal():  # 1 / (sum k^2 + lam/2 * the weights touching each pixel), in minv
         # sum k^2 is the blur's diagonal away from the frame's edge
@@ -159,32 +195,33 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
         np.add(np.multiply(0.5 * lam, minv, out=minv), _inner(op.kernel, op.kernel), out=minv)
         np.divide(1.0, minv, out=minv)
 
-    out = image  # only read: the first weights and the first warm start
+    src = image  # only read: the first weights and the first warm start
     for _ in range(irls_iters):
-        weigh(np.subtract(out[:, 1:], out[:, :-1], out=wx), bx)
-        weigh(np.subtract(out[1:, :], out[:-1, :], out=wy), by)
+        weigh(wx, np.subtract(src[:, 1:], src[:, :-1], out=tx), bx)
+        weigh(wy, np.subtract(src[1:, :], src[:-1, :], out=ty), by)
         if precondition:
             invert_diagonal()
-        x0 = out if warm_start else None
-        del out  # a cold start reads nothing of the last iterate
-        out = cg_solve(apply_a, rhs, cg_iters, x0=x0, minv=minv)
-        if not np.all(np.isfinite(out)):
+        cg_solve(apply_a, rhs, cg_iters, x0=src if warm_start else None, minv=minv, out=x, step=step)
+        if not np.all(np.isfinite(x)):
             raise NumericalError("deconvolution: non-finite iterate")
-    return out
+        src = x
+    return src
 
 
 def _restore(image, kernel, lam: float, wx_base, wy_base, final: bool) -> np.ndarray:
     """Both restorations' entry: checks the image, ``lam`` and the kernel, and
     restores an (h, w) image, or an (h, w, c) one channel by channel, with
     one blur operator and the same weights.  ``final`` picks the final
-    restoration's budgets, warm start and preconditioner over the interim's."""
+    restoration's budgets, warm start and preconditioner over the interim's,
+    and reads ``wx_base`` and ``wy_base`` as the structure field's
+    derivatives rather than as weights."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim not in (2, 3):
         raise InvalidInputError("deconv: expected an (h, w) or (h, w, c) image, got shape %s"
                                 % (img.shape,))
     if not np.all(np.isfinite(img)):
         raise InvalidInputError("deconv: image samples must be finite")
-    if not (math.isfinite(lam) and lam > 0):
+    if not (_is_real(lam) and math.isfinite(lam) and lam > 0):
         raise InvalidInputError("deconv: lambda must be a finite number > 0, got %r" % (lam,))
     k = np.asarray(kernel, dtype=np.float64)
     _check_kernel_weights(k)
@@ -193,7 +230,7 @@ def _restore(image, kernel, lam: float, wx_base, wy_base, final: bool) -> np.nda
 
     def restore(channel):
         return _irls_deconv_single(channel, op, lam, wx_base, wy_base, irls_iters, cg_iters,
-                                   WEIGHT_FLOOR, warm_start=final, precondition=final)
+                                   WEIGHT_FLOOR, warm_start=final, precondition=final, structure=final)
 
     if img.ndim == 2:
         return restore(img)
@@ -266,4 +303,4 @@ def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float) -> np.ndar
                                 % (sx.shape, np.shape(image)[:2]))
     if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
         raise InvalidInputError("deconv: structure field must be finite")
-    return _restore(image, kernel, lam, smooth_weight(sx), smooth_weight(sy), True)
+    return _restore(image, kernel, lam, sx, sy, True)

@@ -51,6 +51,8 @@ def _embed_center(k: np.ndarray, shape) -> np.ndarray:
 
 def _normalize(k) -> np.ndarray:
     k = np.asarray(k, dtype=np.float64)
+    if not np.all(np.isfinite(k)):
+        raise InvalidInputError("metrics: kernel weights must be finite")
     total = k.sum()
     if total <= 0:
         raise InvalidInputError("metrics: kernel has no positive mass")
@@ -128,6 +130,8 @@ def error_ratio(restored, truth_restored, truth) -> float:
     i_g = np.asarray(truth, dtype=np.float64)
     if not (i_r.shape == i_t.shape == i_g.shape):
         raise InvalidInputError("metrics: error_ratio images differ in shape")
+    if not (np.all(np.isfinite(i_r)) and np.all(np.isfinite(i_t)) and np.all(np.isfinite(i_g))):
+        raise InvalidInputError("metrics: error_ratio images must be finite")
     denom = float(((i_t - i_g) ** 2).sum())
     if denom < 1e-12:
         return ERROR_RATIO_CAP

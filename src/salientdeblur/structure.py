@@ -58,9 +58,13 @@ def r_map(image, window: int = 5) -> np.ndarray:
     return np.hypot(sx, sy) / (smag + 0.5)
 
 
-def smooth_weight(r) -> np.ndarray:
-    """Fidelity weight exp(-|r|^0.8); 1 in flat regions, smaller on structure."""
-    return np.exp(-np.abs(np.asarray(r, dtype=np.float64)) ** 0.8)
+def smooth_weight(r, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Fidelity weight exp(-|r|^0.8); 1 in flat regions, smaller on structure.
+
+    Written into ``out`` (a float64 array shaped like ``r``) when given.
+    """
+    a = np.abs(np.asarray(r, dtype=np.float64), out=out)
+    return np.exp(np.negative(np.power(a, 0.8, out=a), out=a), out=a)
 
 
 def tv_objective(u, image, theta: float, omega=None) -> float:
@@ -72,9 +76,12 @@ def tv_objective(u, image, theta: float, omega=None) -> float:
     return _tv_energy(u, np.hypot(g.gx, g.gy), f, lam)
 
 
-def _tv_energy(u: np.ndarray, mag: np.ndarray, f: np.ndarray, lam: np.ndarray) -> float:
-    """sum mag + (u - f)^2 / (2 lam), with mag = ||grad u||_2 and lam = theta * omega per pixel."""
-    return float(mag.sum() + ((u - f) ** 2 / (2.0 * lam)).sum())
+def _tv_energy(u: np.ndarray, mag: np.ndarray, f: np.ndarray, lam: np.ndarray,
+               t: np.ndarray | None = None, t2: np.ndarray | None = None) -> float:
+    """sum mag + (u - f)^2 / (2 lam), with mag = ||grad u||_2 and lam = theta * omega per pixel;
+    ``t`` and ``t2``, when given, are scratch planes shaped like u."""
+    fidelity = np.divide(np.square(np.subtract(u, f, out=t), out=t), np.multiply(2.0, lam, out=t2), out=t)
+    return float(mag.sum() + fidelity.sum())
 
 
 def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, tol: float = 1e-3) -> np.ndarray:
@@ -89,6 +96,12 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
     transiently before settling), so the iterate with the lowest energy seen
     is returned; the input itself is iterate zero, hence the output energy
     never exceeds the input's.
+
+    The iteration runs on kept buffers and holds about 12 image planes above
+    its input: lam and tau / lam, the dual pair, the gradient pair and their
+    magnitude, the iterate, the previous one, the best one, and two
+    temporaries.  Only the divergence and the gradients are formed afresh
+    each iterate, after the planes they replace are dropped.
     """
     f = _channel(image, "adaptive_tv_denoise")
     if not (math.isfinite(theta) and theta > 0):
@@ -110,33 +123,46 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
     coef = tau / lam
     px = np.zeros_like(f)
     py = np.zeros_like(f)
-    u = f.copy()
+    t, t2 = np.empty_like(f), np.empty_like(f)  # temporaries
+    u = f
     # each iterate's gradients serve both its energy and the next dual step
     gx, gy = gradients(u)
     mag = np.hypot(gx, gy)
-    best = u
-    best_energy = _tv_energy(u, mag, f, lam)
+    best = f.copy()
+    best_energy = _tv_energy(u, mag, f, lam, t, t2)
     for _ in range(max_iters):
-        denom = 1.0 + coef * mag
-        px = (px + coef * gx) / denom
-        py = (py + coef * gy) / denom
+        denom = np.add(1.0, np.multiply(coef, mag, out=t), out=t)
+        np.divide(np.add(px, np.multiply(coef, gx, out=gx), out=px), denom, out=px)
+        np.divide(np.add(py, np.multiply(coef, gy, out=gy), out=py), denom, out=py)
+        del gx, gy  # dead until this iterate's gradients replace them
         u_prev = u
-        u = f + lam * divergence(GradientField(px, py))
+        u = divergence(GradientField(px, py))
+        np.add(f, np.multiply(lam, u, out=u), out=u)
         gx, gy = gradients(u)
-        mag = np.hypot(gx, gy)
-        e = _tv_energy(u, mag, f, lam)
+        e = _tv_energy(u, np.hypot(gx, gy, out=mag), f, lam, t, t2)
         if e < best_energy:
-            best, best_energy = u, e
-        step = u - u_prev
+            best_energy = e
+            np.copyto(best, u)
+        step = np.subtract(u, u_prev, out=t)
         if np.sqrt(_inner(step, step)) <= tol * max(np.sqrt(_inner(u_prev, u_prev)), 1e-12):
             break
     return best
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    same_sign = a * b > 0
-    smaller = np.where(np.abs(a) <= np.abs(b), a, b)
-    return np.where(same_sign, smaller, 0.0)
+def _minmod(c: np.ndarray, back: np.ndarray, ahead: np.ndarray, out: np.ndarray, t: np.ndarray,
+            t2: np.ndarray) -> np.ndarray:
+    """minmod(c - back, ahead - c) in ``out``, with ``t`` and ``t2`` as scratch.
+
+    The backward difference is formed twice, so three planes suffice; every
+    value rounds as the plain expressions' would.
+    """
+    ahead_diff = np.subtract(ahead, c, out=out)
+    smaller_back = np.less_equal(np.abs(np.subtract(c, back, out=t), out=t), np.abs(ahead_diff, out=t2))
+    back_diff = np.subtract(c, back, out=t)
+    opposite = np.logical_not(np.greater(np.multiply(back_diff, ahead_diff, out=t2), 0))
+    np.copyto(out, back_diff, where=smaller_back)
+    np.copyto(out, 0.0, where=opposite)
+    return out
 
 
 def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
@@ -144,7 +170,9 @@ def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
 
     D is the second derivative along the gradient direction (central
     differences); the gradient magnitude uses minmod upwinding.  Output is
-    clamped to the input's min/max range each step.
+    clamped to the input's min/max range each step.  Runs on kept buffers,
+    about 7 image planes above the input: the padded frame, the output and
+    five stencil terms.
     """
     a = _channel(image, "shock_filter")
     if not (_is_real(dt) and 0 < dt <= 1):
@@ -152,21 +180,31 @@ def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
     _check_count(steps, 0, "structure: steps")
     lo, hi = a.min(), a.max()
     out = a.copy()
+    h, w = a.shape
+    p = np.empty((h + 2, w + 2))
+    c, left, right, up, down = p[1:-1, 1:-1], p[1:-1, :-2], p[1:-1, 2:], p[:-2, 1:-1], p[2:, 1:-1]
+    # The stencil terms are formed one at a time on kept buffers, in the
+    # order of the plain expressions: ix = 0.5 (right - left),
+    # iy = 0.5 (down - up), ixx = right - 2 c + left, iyy = down - 2 c + up,
+    # ixy = 0.25 (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) and
+    # edge2 = ix ix ixx + 2 ix iy ixy + iy iy iyy.
+    ix, iy, t, edge2, mag = (np.empty((h, w)) for _ in range(5))
     for _ in range(steps):
-        p = _pad_replicate(out, 1, 1)
-        c = p[1:-1, 1:-1]
-        ix = 0.5 * (p[1:-1, 2:] - p[1:-1, :-2])
-        iy = 0.5 * (p[2:, 1:-1] - p[:-2, 1:-1])
-        ixx = p[1:-1, 2:] - 2.0 * c + p[1:-1, :-2]
-        iyy = p[2:, 1:-1] - 2.0 * c + p[:-2, 1:-1]
-        ixy = 0.25 * (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2])
-        edge2 = ix * ix * ixx + 2.0 * ix * iy * ixy + iy * iy * iyy
-        dxm = c - p[1:-1, :-2]
-        dxp = p[1:-1, 2:] - c
-        dym = c - p[:-2, 1:-1]
-        dyp = p[2:, 1:-1] - c
-        mag = np.hypot(_minmod(dxm, dxp), _minmod(dym, dyp))
-        out = np.clip(out - dt * np.sign(edge2) * mag, lo, hi)
+        _pad_replicate(out, 1, 1, out=p)
+        np.multiply(0.5, np.subtract(right, left, out=ix), out=ix)
+        np.multiply(0.5, np.subtract(down, up, out=iy), out=iy)
+        ixx = np.add(np.subtract(right, np.multiply(2.0, c, out=t), out=t), left, out=t)
+        np.multiply(np.multiply(ix, ix, out=edge2), ixx, out=edge2)
+        ixy = np.subtract(p[2:, 2:], p[2:, :-2], out=t)
+        np.multiply(0.25, np.add(np.subtract(ixy, p[:-2, 2:], out=t), p[:-2, :-2], out=t), out=t)
+        cross = np.multiply(np.multiply(np.multiply(2.0, ix, out=ix), iy, out=ix), ixy, out=ix)
+        np.add(edge2, cross, out=edge2)
+        iyy = np.add(np.subtract(down, np.multiply(2.0, c, out=t), out=t), up, out=t)
+        np.add(edge2, np.multiply(np.multiply(iy, iy, out=iy), iyy, out=iy), out=edge2)
+        # mag = hypot(minmod(c - left, right - c), minmod(c - up, down - c))
+        np.hypot(_minmod(c, left, right, ix, iy, t), _minmod(c, up, down, mag, iy, t), out=mag)
+        speed = np.multiply(np.multiply(dt, np.sign(edge2, out=edge2), out=edge2), mag, out=edge2)
+        np.clip(np.subtract(out, speed, out=out), lo, hi, out=out)
     return out
 
 

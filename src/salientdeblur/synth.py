@@ -4,9 +4,11 @@ scored without external imagery."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import as_image, convolve
+from .core import _check_count, _is_real, as_image, convolve
 from .errors import InvalidInputError
 
 KERNEL_PRESETS = ("line-h", "line-d", "box", "l-curve")
@@ -19,8 +21,7 @@ def test_chart(size: int = 255) -> np.ndarray:
 
     Deterministic; used by the synthetic round-trip checks.
     """
-    if size < 64:
-        raise InvalidInputError("synth: chart size must be >= 64")
+    _check_count(size, 64, "synth: chart size")
     img = np.full((size, size), _LO)
     y, x = np.mgrid[0:size, 0:size]
     third = size // 3
@@ -67,7 +68,8 @@ def test_chart(size: int = 255) -> np.ndarray:
 def kernel_preset(name: str, size: int) -> np.ndarray:
     """Named blur kernel of odd ``size``: a horizontal or diagonal line, a
     box, or an L-shaped trajectory; uniform mass, unit sum."""
-    if size < 3 or size % 2 == 0:
+    _check_count(size, 3, "synth: kernel size")
+    if size % 2 == 0:
         raise InvalidInputError("synth: kernel size must be odd and >= 3")
     if name not in KERNEL_PRESETS:
         raise InvalidInputError("synth: unknown kernel preset %r (choose from %s)" % (name, KERNEL_PRESETS))
@@ -94,8 +96,8 @@ def kernel_preset(name: str, size: int) -> np.ndarray:
 def synthesize(sharp, kernel, noise_sigma: float = 0.0, seed: int = 0) -> np.ndarray:
     """Blur a sharp image and add seeded Gaussian noise; clipped to [0, 1]."""
     img = as_image(sharp)
-    if noise_sigma < 0:
-        raise InvalidInputError("synth: noise sigma must be >= 0")
+    if not (_is_real(noise_sigma) and math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InvalidInputError("synth: noise sigma must be a finite number >= 0, got %r" % (noise_sigma,))
     blurred = convolve(img, kernel, mode="fft")
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)

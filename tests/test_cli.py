@@ -156,6 +156,15 @@ class TestSynth:
         rc = run(["synth", "--output", str(tmp_path / "b.png")])
         assert rc == 2
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.01"])
+    def test_bad_noise_sigma_exit_2(self, tmp_path, capsys, sigma):
+        # nan wrote the noiseless image and inf a saturated one, both with exit 0
+        out = tmp_path / "b.png"
+        rc = run(["synth", "--chart", "64", "--noise-sigma", sigma, "--output", str(out)])
+        assert rc == 2
+        assert "noise sigma" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStructureCommand:
     def test_writes_three_maps(self, tmp_path, capsys):

@@ -46,6 +46,26 @@ class TestGradients:
         nz = np.argwhere(g.gx != 0)
         assert {tuple(p) for p in nz} == {(3, 3), (3, 4)}
 
+    @pytest.mark.parametrize("view", [lambda a: a, lambda a: a.T, lambda a: a[::2, 1:],
+                                      lambda a: a[:1], lambda a: a[:, :1]],
+                             ids=["contiguous", "transposed", "strided", "row", "column"])
+    def test_matches_the_slice_differences_bitwise(self, view):
+        img = view(np.random.default_rng(3).random((9, 12)))
+        gx, gy = np.zeros(img.shape), np.zeros(img.shape)
+        gx[:, :-1] = img[:, 1:] - img[:, :-1]
+        gy[:-1, :] = img[1:, :] - img[:-1, :]
+        g = sd.gradients(img)
+        assert np.array_equal(g.gx, gx) and np.array_equal(g.gy, gy)
+        # the memory order of the input, which the rounding of later sums follows
+        assert g.gx.strides == g.gy.strides == np.zeros_like(img).strides
+
+
+@pytest.mark.parametrize("size", [np.nan, 3.5, True, 4, 0, (3, 2.5), (5, 2), (3, 3, 3), None])
+def test_delta_kernel_rejects_bad_sizes(size):
+    # nan used to end in a raw ValueError, and 3.5 became a 3x3 kernel
+    with pytest.raises(sd.InvalidInputError, match="delta"):
+        sd.delta_kernel(size)
+
 
 class TestDivergence:
     def test_zero_field(self):

@@ -104,10 +104,70 @@ class TestCgSolvePreconditioned:
         with pytest.raises(sd.InvalidInputError, match="minv"):
             sd.cg_solve(lambda v: v, np.ones(4), 5, minv=np.ones(3))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_preconditioner_is_invalid_input(self, bad):
+        # an all-zero minv used to return zeros without complaint
+        minv = np.ones(3)
+        minv[1] = bad
+        with pytest.raises(sd.InvalidInputError, match="minv"):
+            sd.cg_solve(lambda v: v, np.ones(3), 5, minv=minv)
+
 
 def random_spd(rng, n=10):
     m = rng.normal(size=(n, n))
     return m.T @ m + np.eye(n)
+
+
+class TestCgSolveBuffers:
+    @pytest.mark.parametrize("start", ["zero", "distinct", "in-place"])
+    @pytest.mark.parametrize("jacobi", [False, True])
+    def test_out_and_step_match_the_copying_path_bitwise(self, start, jacobi):
+        rng = np.random.default_rng(13)
+        a = random_spd(rng)
+        b = rng.normal(size=10)
+        x0 = rng.normal(size=10)
+        kept = x0.copy()
+        minv = rng.uniform(0.1, 10.0, size=10) if jacobi else None
+        expected = sd.cg_solve(lambda v: a @ v, b, 7, x0=None if start == "zero" else x0, minv=minv)
+        out = x0 if start == "in-place" else np.full(10, 5.0)
+        step = np.full(10, 7.0)
+        got = sd.cg_solve(lambda v: a @ v, b, 7, x0=None if start == "zero" else x0, minv=minv,
+                          out=out, step=step)
+        assert got is out
+        assert np.array_equal(got, expected)
+        if start == "distinct":
+            assert np.array_equal(x0, kept)
+
+    def test_operator_may_overwrite_the_step_buffer(self):
+        rng = np.random.default_rng(14)
+        a = random_spd(rng)
+        b = rng.normal(size=10)
+        step = np.empty(10)
+
+        def apply_a(v):
+            step.fill(np.nan)  # the step buffer is dead whenever the operator runs
+            return a @ v
+
+        for minv in (None, rng.uniform(0.1, 10.0, size=10)):
+            assert np.array_equal(sd.cg_solve(apply_a, b, 7, minv=minv, step=step),
+                                  sd.cg_solve(lambda v: a @ v, b, 7, minv=minv))
+
+    @pytest.mark.parametrize("name", ["out", "step"])
+    @pytest.mark.parametrize("bad", [np.ones(4), np.ones(3, dtype=np.float32), [1.0, 1.0, 1.0]])
+    def test_bad_buffer_is_invalid_input(self, name, bad):
+        with pytest.raises(sd.InvalidInputError, match=name):
+            sd.cg_solve(lambda v: v, np.ones(3), 5, **{name: bad})
+
+    def test_integer_rhs_is_solved_as_float(self):
+        # an integer b used to end in a raw UFuncTypeError
+        d = np.array([1.0, 2.0, 4.0])
+        assert np.array_equal(sd.cg_solve(lambda v: d * v, np.array([1, 2, 4]), 10),
+                              sd.cg_solve(lambda v: d * v, np.array([1.0, 2.0, 4.0]), 10))
+
+    @pytest.mark.parametrize("b", [np.array(["1", "2"]), np.array([1 + 1j, 2]), np.array([True, False])])
+    def test_non_real_rhs_is_invalid_input(self, b):
+        with pytest.raises(sd.InvalidInputError, match="real"):
+            sd.cg_solve(lambda v: v, b, 5)
 
 
 class TestCgSolveWarmStart:
@@ -372,7 +432,7 @@ def test_single_channel_stack_keeps_its_shape():
         assert np.array_equal(out[:, :, 0], restore(img[:, :, 0], k))
 
 
-@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0, -0.01, True, "0.1"])
 def test_bad_lambda_is_invalid_input(lam):
     img = np.random.default_rng(9).random((12, 12))
     k = np.full((3, 3), 1.0 / 9.0)
@@ -436,9 +496,9 @@ class TestBufferedCore:
 
 class TestWorkingSet:
     """Traced peak of a warm call above its start, in planes of the image
-    (128², 9² kernel): the operator's two frames, the regularizer's kept
-    buffers, the CG vectors and, for RGB, the finished channels and the
-    structure weights."""
+    (128², 9² kernel): the operator's buffers, the regularizer's kept
+    buffers, the iterate and the CG vectors and, for RGB, the finished
+    channels."""
 
     @staticmethod
     def _planes(call, side):
@@ -448,14 +508,14 @@ class TestWorkingSet:
         rng = np.random.default_rng(23)
         k = rng.random((9, 9))
         img = rng.random((128, 128))
-        assert self._planes(lambda: sd.tv_deconv(img, k / k.sum(), 0.005), 128) <= 17
+        assert self._planes(lambda: sd.tv_deconv(img, k / k.sum(), 0.005), 128) <= 14
 
     def test_rgb_adaptive_deconv(self):
         rng = np.random.default_rng(24)
         k = rng.random((9, 9))
         img = rng.random((128, 128, 3))
         grad_s = sd.GradientField(0.1 * rng.normal(size=(128, 128)), 0.1 * rng.normal(size=(128, 128)))
-        assert self._planes(lambda: sd.adaptive_deconv(img, k / k.sum(), grad_s, 0.002), 128) <= 22
+        assert self._planes(lambda: sd.adaptive_deconv(img, k / k.sum(), grad_s, 0.002), 128) <= 17
 
 
 def test_l2_latent_solves_its_periodic_normal_equations():

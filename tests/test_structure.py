@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import salientdeblur as sd
+from salientdeblur.metrics import evaluate_kernels
+from salientdeblur.pipeline import structure_pass
 from salientdeblur.structure import tv_objective
 
 from oracles import condat_tv1d
+from test_core import warm_peak
 
 
 class TestRMap:
@@ -55,6 +58,13 @@ class TestSmoothWeight:
         w = sd.smooth_weight(r)
         assert np.all(np.diff(w) < 0)
         assert w.min() > 0.0 and w.max() <= 1.0
+
+    def test_out_matches_the_plain_expression_bitwise(self):
+        r = np.random.default_rng(6).normal(size=(9, 11))
+        out = np.empty_like(r)
+        assert sd.smooth_weight(r, out=out) is out
+        assert np.array_equal(out, np.exp(-np.abs(r) ** 0.8))
+        assert np.array_equal(sd.smooth_weight(r), out)
 
 
 class TestAdaptiveTV:
@@ -289,11 +299,16 @@ class TestInitThreshold:
     lambda img: sd.select_salient_edges(img, 0.1), lambda img: sd.salient_mask(img, 0.1),
     lambda img: sd.poisson_reconstruct(sd.GradientField(img, np.zeros_like(img))),
     lambda img: sd.psnr(np.zeros_like(img), img),
+    lambda img: sd.error_ratio(img, np.ones_like(img), np.zeros_like(img)),
+    lambda img: sd.ssde(img[2:5, 2:5], np.full((3, 3), 1.0 / 9.0)),
+    lambda img: evaluate_kernels(img[2:5, 2:5], np.full((3, 3), 1.0 / 9.0), np.full((16, 16), 0.5),
+                                 np.full((16, 16), 0.5)),
 ], ids=["adaptive_tv_denoise", "shock_filter", "r_map", "select_salient_edges", "salient_mask",
-        "poisson_reconstruct", "psnr"])
+        "poisson_reconstruct", "psnr", "error_ratio", "ssde", "evaluate_kernels"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stages_reject_non_finite_images(stage, bad):
-    # these returned NaN arrays, an all-zero field or a NaN score without complaint
+    # these returned NaN arrays, an all-zero field or a NaN score without
+    # complaint (the kernel scores read the image's centre as a kernel)
     img = np.random.default_rng(9).random((8, 8))
     img[3, 4] = bad
     with pytest.raises(sd.InvalidInputError, match="finite"):
@@ -309,3 +324,27 @@ def test_config_validates_structure_ranges():
     for dt in (1.5, True):  # a bool dt used to pass as 1
         with pytest.raises(sd.InvalidInputError, match="dt"):
             sd.shock_filter(np.zeros((5, 5)), dt)
+
+
+class TestWorkingSet:
+    """Traced peak of a warm call above its start, in planes of a 128² image:
+    the shock filter's padded frame, stencil terms and output; the TV split's
+    weights, dual pair, gradients, iterates and temporaries; and, for the
+    full pass, the fidelity weight beside the split."""
+
+    IMAGE = sd.convolve(sd.test_chart(128), sd.kernel_preset("l-curve", 9))
+
+    @staticmethod
+    def _planes(call):
+        return warm_peak(call) / (128 * 128 * 8)
+
+    def test_shock_filter(self):
+        assert self._planes(lambda: sd.shock_filter(self.IMAGE)) <= 9
+
+    def test_adaptive_tv_denoise(self):
+        omega = sd.smooth_weight(sd.r_map(self.IMAGE))
+        assert self._planes(lambda: sd.adaptive_tv_denoise(self.IMAGE, 1.0, omega)) <= 13
+
+    def test_structure_pass(self):
+        config = sd.DeblurConfig(kernel_size=9)
+        assert self._planes(lambda: structure_pass(self.IMAGE, config)) <= 14

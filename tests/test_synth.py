@@ -38,6 +38,12 @@ class TestChart:
         with pytest.raises(sd.InvalidInputError):
             sd.test_chart(32)
 
+    @pytest.mark.parametrize("size", [np.nan, 100.5, True, "96"])
+    def test_non_integer_size_rejected(self, size):
+        # nan and 100.5 used to end in a raw TypeError
+        with pytest.raises(sd.InvalidInputError, match="chart size"):
+            sd.test_chart(size)
+
 
 class TestKernelPresets:
     @pytest.mark.parametrize("name", KERNEL_PRESETS)
@@ -60,6 +66,11 @@ class TestKernelPresets:
     def test_even_size_rejected(self):
         with pytest.raises(sd.InvalidInputError):
             sd.kernel_preset("box", 8)
+
+    @pytest.mark.parametrize("size", [np.nan, 4.5, True])
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(sd.InvalidInputError, match="kernel size"):
+            sd.kernel_preset("box", size)
 
 
 class TestSynthesize:
@@ -85,6 +96,12 @@ class TestSynthesize:
         noisy = sd.synthesize(chart, k, noise_sigma=0.02, seed=1)
         sigma = np.std(noisy - clean)
         assert 0.01 < sigma < 0.03
+
+    @pytest.mark.parametrize("sigma", [-0.01, np.nan, np.inf, True, "0.01"])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        # nan passed both the < 0 and the > 0 test and added no noise
+        with pytest.raises(sd.InvalidInputError, match="noise sigma"):
+            sd.synthesize(sd.test_chart(64), sd.delta_kernel(3), noise_sigma=sigma)
 
     def test_output_clipped(self):
         chart = sd.test_chart(96)
