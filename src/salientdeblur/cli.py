@@ -103,8 +103,9 @@ def _progress_printer(enabled: bool):
 def _cmd_deblur(args) -> int:
     cfg = _build_config(args)
     image = fileio.read_image(args.input)
+    # the image is not read again: the restoration overwrites it
     kernel, restored, _ = deblur_blind(image, cfg, crop=_parse_crop(args.crop),
-                                       progress=_progress_printer(args.verbose))
+                                       progress=_progress_printer(args.verbose), out=image)
     fileio.write_image(args.output, restored, bit_depth=args.bit_depth)
     txt, png = _kernel_out_paths(args)
     fileio.write_kernel(txt, kernel)
@@ -138,8 +139,8 @@ def _cmd_deconv(args) -> int:
         restored = tv_deconv(image, kernel, cfg.lambda_c)
     else:
         _, _, _, grad_s = structure_pass(image, cfg)
-        restored = adaptive_deconv(image, kernel, grad_s, cfg.lambda_final)
-    fileio.write_image(args.output, np.clip(restored, 0.0, 1.0), bit_depth=args.bit_depth)
+        restored = adaptive_deconv(image, kernel, grad_s, cfg.lambda_final, out=image)  # image not read again
+    fileio.write_image(args.output, np.clip(restored, 0.0, 1.0, out=restored), bit_depth=args.bit_depth)
     print("deconv: wrote %s" % args.output)
     return 0
 

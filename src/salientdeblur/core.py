@@ -57,22 +57,33 @@ def to_grayscale(img) -> np.ndarray:
     return img @ GRAY_WEIGHTS
 
 
+def _diff_x(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Forward x-differences of an (h, w) array into ``out`` of its shape,
+    zero in the last column; returns ``out``.
+
+    When both are C-contiguous, the differences are taken of the flat arrays,
+    which numpy runs without iteration buffers; the differences that wrap
+    from a row's end to the next row's start land in the last column and are
+    zeroed.  Either way each value rounds as ``a[:, 1:] - a[:, :-1]`` does.
+    """
+    if a.flags.c_contiguous and out.flags.c_contiguous:
+        np.subtract(a.reshape(-1)[1:], a.reshape(-1)[:-1], out=out.reshape(-1)[:-1])
+    else:
+        np.subtract(a[:, 1:], a[:, :-1], out=out[:, :-1])
+    out[:, -1:] = 0.0
+    return out
+
+
 def gradients(img) -> GradientField:
     """Forward differences with replicate boundary (zero in the last column/row)."""
     a = np.asarray(img, dtype=np.float64)
-    gx = np.zeros_like(a)  # in a's memory order, which later sums' rounding follows
-    gy = np.zeros_like(a)
-    if a.flags.c_contiguous:
-        # Differences of the flat arrays, which numpy runs without iteration
-        # buffers; the x-differences that wrap from a row's end to the next
-        # row's start land in the last column and are zeroed.
-        flat, n, w = a.reshape(-1), a.size, a.shape[1]
-        np.subtract(flat[1:], flat[:-1], out=gx.reshape(-1)[:-1])
-        gx[:, -1:] = 0.0
-        np.subtract(flat[w:], flat[: n - w], out=gy.reshape(-1)[: n - w])
-    else:
-        np.subtract(a[:, 1:], a[:, :-1], out=gx[:, :-1])
-        np.subtract(a[1:, :], a[:-1, :], out=gy[:-1, :])
+    # in a's memory order, which later sums' rounding follows; the row
+    # blocks of a C-contiguous array are contiguous, so its y-differences
+    # take no iteration buffers either
+    gx = _diff_x(a, np.empty_like(a))
+    gy = np.empty_like(a)
+    np.subtract(a[1:, :], a[:-1, :], out=gy[:-1, :])
+    gy[-1:, :] = 0.0
     return GradientField(gx, gy)
 
 
@@ -266,10 +277,11 @@ class BlurOperator:
     row transforms whose input is known zero or whose output is discarded.
     All three take an array of exactly the operator's shape.  ``forward``
     and ``adjoint`` return new arrays; ``normal`` returns a view that the
-    next call of any of the three overwrites.  Nothing lives in the real
-    frame between two calls, so ``scratch`` lends it to the caller for
-    values that are dead whenever the operator runs.  Not safe to share
-    between threads.
+    next call of any of the three overwrites.  Nothing lives in either
+    buffer between two calls, so ``scratch`` lends one plane of each to the
+    caller, for values that are dead whenever the operator runs: each call
+    writes its buffers before it reads them.  Not safe to share between
+    threads.
     """
 
     def __init__(self, kernel, shape):
@@ -309,15 +321,20 @@ class BlurOperator:
         self._forward(u)
         return self._adjoint()
 
-    def scratch(self) -> np.ndarray:
-        """A contiguous array of the operator's shape over the real frame.
+    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two contiguous float64 arrays of the operator's shape, over the
+        real frame and over the half spectrum viewed as float64 (which holds
+        at least as many values as the real frame).
 
         Lent, not owned: every call of ``forward``, ``adjoint`` or ``normal``
-        overwrites it, so it may hold only values that are used up before
-        the next call.  Passing it to the operator is safe but costs a copy.
+        overwrites both, so they may hold only values that are used up
+        before the next call.  Passing one to the operator is safe: the
+        spectrum plane is read before the spectrum is written, and the real
+        plane is copied first.
         """
-        h, w = self.shape
-        return self._real.reshape(-1)[: h * w].reshape(h, w)
+        n = self.shape[0] * self.shape[1]
+        return (self._real.reshape(-1)[:n].reshape(self.shape),
+                self._spec.view(np.float64).reshape(-1)[:n].reshape(self.shape))
 
     def _check_shape(self, u) -> None:
         if np.shape(u) != self.shape:

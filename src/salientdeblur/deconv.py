@@ -21,16 +21,16 @@ The reweighting writes its weights in place too, and reads the image
 without copying it; the final restoration forms its structure weights
 exp(-|dS|^0.8) in the weight buffers at each reweighting rather than holding
 them.  The iterate is one buffer for the whole call, which a warm start
-updates in place (``cg_solve(..., out=)``), and the CG step and the
-divergence's differences borrow the blur operator's real frame, which
-nothing needs between two applications (``BlurOperator.scratch``).  A gray
-interim restoration at 319^2 with a 15^2 kernel holds about 12 image planes
-above its input: the blur operator's half spectrum, real frame and kernel
-response (about 4), the right-hand side, two weight buffers, the shared
-difference scratch and the divergence (5), and the iterate and two CG
-vectors (3); the final restoration's preconditioner adds one more.  An RGB
-final restoration also holds the finished channels, about 15 planes at its
-peak.
+updates in place (``cg_solve(..., out=)``).  The regularizer's differences
+and CG's step borrow the blur operator's half spectrum and real frame,
+which nothing needs between two applications (``BlurOperator.scratch``).
+A gray interim restoration at 319^2 with a 15^2 kernel holds about 11
+image planes above its input: the blur operator's half spectrum, real frame
+and kernel response (about 4), the right-hand side, two weight buffers and
+the divergence (4), and the iterate and two CG vectors (3); the final
+restoration's preconditioner adds one more.  An RGB final restoration also
+holds its result, about 15 planes at its peak, or 12 when the result goes
+into the image itself (``out=``), as the command line's restorations do.
 
 The crop path of the blind pipeline also takes a full-frame latent from
 ``_l2_latent``: one exact Fourier-domain solve under a quadratic gradient
@@ -43,8 +43,8 @@ import math
 
 import numpy as np
 
-from .core import (BlurOperator, GradientField, _check_count, _check_kernel_weights, _fast_len, _inner, _is_real,
-                   gradients)
+from .core import (BlurOperator, GradientField, _check_count, _check_kernel_weights, _diff_x, _fast_len, _inner,
+                   _is_real, gradients)
 from .errors import InvalidInputError, NumericalError
 from .structure import smooth_weight
 
@@ -147,37 +147,36 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
     # weight buffers at each reweighting instead of held for the whole call.
     rhs = op.adjoint(image)
     h, w = image.shape
-    # The weights and the regularizer run on buffers kept for the whole call.
-    # They repeat the arithmetic of gradients() and divergence() slice by
-    # slice, so each value rounds as theirs does.  The weights and the
-    # weighted differences drop the zero last column and row of the
-    # gradients, which the divergence never reads; the x- and y-differences
-    # share one scratch, because the x-terms are summed into div before the
-    # y-terms are formed, and the reweighting holds |dI| there.  The blur's
-    # lent frame holds the divergence's differences, used up before normal()
-    # overwrites it, and CG's step, which is dead whenever apply_a runs.
-    wx, wy = np.empty((h, w - 1)), np.empty((h - 1, w))
-    scratch = np.empty(max(wx.size, wy.size))
-    tx, ty = scratch[: wx.size].reshape(wx.shape), scratch[: wy.size].reshape(wy.shape)
+    # The weights and the regularizer run on buffers kept for the whole call
+    # and repeat the arithmetic of gradients() and divergence(), so each
+    # value rounds as theirs does, up to the sign of a zero.  The x-terms are
+    # differences of flat row-major planes (no iteration buffers): the
+    # x-weights' zero last column cancels the differences that wrap from one
+    # row to the next.  The y-terms drop the gradients' zero last row, which
+    # the divergence never reads, and run on contiguous row blocks.  The
+    # blur operator's lent half spectrum holds the x- and y-differences (the
+    # x-terms are summed into div before the y-terms are formed; the
+    # reweighting holds |dI| there), and its lent real frame the
+    # y-divergence's differences and CG's step, dead whenever apply_a runs.
+    wx, wy = np.empty((h, w)), np.empty((h - 1, w))
+    step, lent = op.scratch()
+    tx, ty = lent, lent[: h - 1]
     div = np.empty((h, w))
-    diff = step = op.scratch()
-    bx = np.broadcast_to(wx_base, (h, w))[:, :-1]
+    flat_tx, flat_div = tx.reshape(-1), div.reshape(-1)
+    bx = np.broadcast_to(wx_base, (h, w))
     by = np.broadcast_to(wy_base, (h, w))[:-1, :]
     scale = -0.5 * lam  # (0.5 * lam) * (-div), with the exact negation moved
     minv = np.empty((h, w)) if precondition else None
     x = np.empty((h, w))  # the iterate, kept across the reweightings
 
     def apply_a(u):
-        div.fill(0.0)
-        np.multiply(wx, np.subtract(u[:, 1:], u[:, :-1], out=tx), out=tx)
-        if w >= 2:
-            div[:, 0] += tx[:, 0]
-            div[:, 1:-1] += np.subtract(tx[:, 1:], tx[:, :-1], out=diff[:, 1:-1])
-            div[:, -1] -= tx[:, -1]
+        np.multiply(wx, _diff_x(u, tx), out=tx)
+        flat_div[0] = flat_tx[0]
+        np.subtract(flat_tx[1:], flat_tx[:-1], out=flat_div[1:])
         np.multiply(wy, np.subtract(u[1:, :], u[:-1, :], out=ty), out=ty)
         if h >= 2:
             div[0, :] += ty[0, :]
-            div[1:-1, :] += np.subtract(ty[1:, :], ty[:-1, :], out=diff[1:-1, :])
+            div[1:-1, :] += np.subtract(ty[1:, :], ty[:-1, :], out=step[1:-1, :])
             div[-1, :] -= ty[-1, :]
         return np.add(op.normal(u), np.multiply(scale, div, out=div), out=div)
 
@@ -186,10 +185,10 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
         np.divide(smooth_weight(base, out=wt) if structure else base, t, out=wt)
 
     def invert_diagonal():  # 1 / (sum k^2 + lam/2 * the weights touching each pixel), in minv
-        # sum k^2 is the blur's diagonal away from the frame's edge
-        minv.fill(0.0)
-        minv[:, :-1] += wx
-        minv[:, 1:] += wx
+        # sum k^2 is the blur's diagonal away from the frame's edge; wx's
+        # zero last column adds nothing to the pixels it touches
+        np.copyto(minv, wx)
+        minv.reshape(-1)[1:] += wx.reshape(-1)[:-1]
         minv[:-1, :] += wy
         minv[1:, :] += wy
         np.add(np.multiply(0.5 * lam, minv, out=minv), _inner(op.kernel, op.kernel), out=minv)
@@ -197,7 +196,8 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
 
     src = image  # only read: the first weights and the first warm start
     for _ in range(irls_iters):
-        weigh(wx, np.subtract(src[:, 1:], src[:, :-1], out=tx), bx)
+        weigh(wx, _diff_x(src, tx), bx)
+        wx[:, -1] = 0.0
         weigh(wy, np.subtract(src[1:, :], src[:-1, :], out=ty), by)
         if precondition:
             invert_diagonal()
@@ -208,33 +208,48 @@ def _irls_deconv_single(image, op: BlurOperator, lam: float, wx_base, wy_base,
     return src
 
 
-def _restore(image, kernel, lam: float, wx_base, wy_base, final: bool) -> np.ndarray:
-    """Both restorations' entry: checks the image, ``lam`` and the kernel, and
-    restores an (h, w) image, or an (h, w, c) one channel by channel, with
-    one blur operator and the same weights.  ``final`` picks the final
-    restoration's budgets, warm start and preconditioner over the interim's,
-    and reads ``wx_base`` and ``wy_base`` as the structure field's
-    derivatives rather than as weights."""
+def _check_out(out, shape) -> None:
+    """An ``out=`` argument: None, or a writeable float64 array of ``shape``."""
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == tuple(shape) and out.flags.writeable):
+        raise InvalidInputError("deconv: out must be None or a writeable float64 array of shape %s"
+                                % (tuple(shape),))
+
+
+def _restore(image, kernel, lam: float, wx_base, wy_base, final: bool, out=None) -> np.ndarray:
+    """Both restorations' entry: checks the image, ``lam``, the kernel and
+    ``out``, and restores an (h, w) image, or an (h, w, c) one channel by
+    channel, with one blur operator and the same weights.  ``final`` picks
+    the final restoration's budgets, warm start and preconditioner over the
+    interim's, and reads ``wx_base`` and ``wy_base`` as the structure
+    field's derivatives rather than as weights.
+
+    The result goes into ``out`` when given, else into a new array allocated
+    once the first channel is restored.  Each channel of the image is read
+    only while it is restored, so ``out`` may be the image itself.
+    """
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim not in (2, 3):
-        raise InvalidInputError("deconv: expected an (h, w) or (h, w, c) image, got shape %s"
+    if img.ndim not in (2, 3) or img.ndim == 3 and img.shape[2] == 0:
+        raise InvalidInputError("deconv: expected an (h, w) or (h, w, c) image with c >= 1, got shape %s"
                                 % (img.shape,))
     if not np.all(np.isfinite(img)):
         raise InvalidInputError("deconv: image samples must be finite")
     if not (_is_real(lam) and math.isfinite(lam) and lam > 0):
         raise InvalidInputError("deconv: lambda must be a finite number > 0, got %r" % (lam,))
+    _check_out(out, img.shape)
     k = np.asarray(kernel, dtype=np.float64)
     _check_kernel_weights(k)
     op = BlurOperator(k, img.shape[:2])
     irls_iters, cg_iters = (IRLS_ITERS_FINAL, CG_ITERS_FINAL) if final else (IRLS_ITERS, CG_ITERS_INTERIM)
-
-    def restore(channel):
-        return _irls_deconv_single(channel, op, lam, wx_base, wy_base, irls_iters, cg_iters,
-                                   WEIGHT_FLOOR, warm_start=final, precondition=final, structure=final)
-
-    if img.ndim == 2:
-        return restore(img)
-    return np.dstack([restore(img[:, :, c]) for c in range(img.shape[2])])
+    planes = img[:, :, None] if img.ndim == 2 else img  # (h, w) as (h, w, 1)
+    for c in range(planes.shape[2]):
+        x = _irls_deconv_single(planes[:, :, c], op, lam, wx_base, wy_base, irls_iters, cg_iters,
+                                WEIGHT_FLOOR, warm_start=final, precondition=final, structure=final)
+        if out is None:
+            out = np.empty(img.shape)
+        (out[:, :, None] if out.ndim == 2 else out)[:, :, c] = x
+        del x  # not held through the next channel's restoration
+    return out
 
 
 def _l2_latent(image, kernel) -> np.ndarray:
@@ -259,7 +274,9 @@ def _l2_latent(image, kernel) -> np.ndarray:
     grad2 = ((2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(fh)))[:, None]
              + (2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(fw)))[None, :])
     spec = np.conj(fk) * np.fft.rfft2(frame) / (fk.real ** 2 + fk.imag ** 2 + L2_WEIGHT * grad2)
-    return np.fft.irfft2(spec, s=(fh, fw))[top : top + h, left : left + w]
+    latent = np.fft.irfft2(spec, s=(fh, fw))
+    del spec  # before the copy, which the caller keeps instead of a view pinning the frame
+    return latent[top : top + h, left : left + w].copy()
 
 
 def deconv_objective(candidate, image, kernel, lam: float, grad_s: GradientField | None = None) -> float:
@@ -287,14 +304,17 @@ def tv_deconv(image, kernel, lambda_c: float) -> np.ndarray:
     return _restore(image, kernel, lambda_c, 1.0, 1.0, False)
 
 
-def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float) -> np.ndarray:
+def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float, *, out: np.ndarray | None = None) -> np.ndarray:
     """Final restoration with structure-adaptive smoothness weights.
 
     The per-direction regularizer weight is exp(-|dS|^0.8) / max(|dI|, floor),
     so smoothing relaxes across salient edges.  Each reweighting's
     Jacobi-preconditioned CG starts from the previous iterate (the blurred
     image for the first).  Multi-channel images are restored channel by
-    channel with the same structure field.
+    channel with the same structure field.  The result goes into ``out``
+    when given: a writeable float64 array of the image's shape, which may
+    be the image itself (a caller that does not read its input again saves
+    the result's planes).
     """
     sx = np.asarray(grad_s[0], dtype=np.float64)
     sy = np.asarray(grad_s[1], dtype=np.float64)
@@ -303,4 +323,4 @@ def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float) -> np.ndar
                                 % (sx.shape, np.shape(image)[:2]))
     if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
         raise InvalidInputError("deconv: structure field must be finite")
-    return _restore(image, kernel, lam, sx, sy, True)
+    return _restore(image, kernel, lam, sx, sy, True, out)

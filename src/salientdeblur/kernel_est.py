@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GradientField, _check_count, _pad_replicate, convolve, delta_kernel, gradients,
+from .core import (GradientField, _check_count, _is_real, _pad_replicate, convolve, delta_kernel, gradients,
                    periodic_gradients)
 from .deconv import cg_solve
 from .errors import DegenerateStructureError, InvalidInputError, NumericalError
@@ -46,18 +46,19 @@ class KernelEstParams:
     def __post_init__(self):
         for name in ("gamma", "mu"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InvalidInputError("kernel-estimation: %s must be a finite number >= 0" % name)
-        if not 0 < self.alpha <= 1:
-            raise InvalidInputError("kernel-estimation: alpha must be in (0, 1]")
+            if not (_is_real(value) and math.isfinite(value) and value >= 0):
+                raise InvalidInputError("kernel-estimation: %s must be a finite number >= 0, got %r"
+                                        % (name, value))
+        if not (_is_real(self.alpha) and 0 < self.alpha <= 1):
+            raise InvalidInputError("kernel-estimation: alpha must be a number in (0, 1], got %r"
+                                    % (self.alpha,))
         for name in ("itr", "irls_iters", "cg_iters"):
             _check_count(getattr(self, name), 1, "kernel-estimation: " + name)
 
 
 def mu_schedule(kernel_size: int) -> float:
     """Default gradient-count weight, growing with kernel size (clamped)."""
-    if kernel_size < 3:
-        raise InvalidInputError("kernel-estimation: kernel size must be >= 3")
+    _check_count(kernel_size, 3, "kernel-estimation: kernel size")
     return float(np.clip(5e-3 * (kernel_size / 25.0), 1e-3, 2e-2))
 
 
@@ -228,8 +229,10 @@ def l0_gradient_smooth(kernel, mu: float) -> np.ndarray:
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2:
         raise InvalidInputError("kernel-estimation: kernel grid must be 2D")
-    if not (math.isfinite(mu) and mu >= 0):
-        raise InvalidInputError("kernel-estimation: mu must be a finite number >= 0")
+    if not np.all(np.isfinite(k)):
+        raise InvalidInputError("kernel-estimation: kernel weights must be finite")
+    if not (_is_real(mu) and math.isfinite(mu) and mu >= 0):
+        raise InvalidInputError("kernel-estimation: mu must be a finite number >= 0, got %r" % (mu,))
     if mu == 0.0:
         return k.copy()
     gk = gradients(k)

@@ -93,12 +93,6 @@ def _shifted(k_est, shift) -> np.ndarray:
     return aligned
 
 
-def align_kernel(k_est, k_true):
-    """k_est normalized and shifted into registration with k_true (same frame)."""
-    _, _, shift = _aligned_canvases(k_est, k_true)
-    return _shifted(k_est, shift), shift
-
-
 def ssde(k_est, k_true) -> tuple:
     """Sum of squared differences between aligned unit-sum kernels.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (_check_count, _is_real, _shift_zero, as_image, delta_kernel, gradients, resample, resize,
                    to_grayscale)
-from .deconv import _l2_latent, adaptive_deconv, tv_deconv
+from .deconv import _check_out, _l2_latent, adaptive_deconv, tv_deconv
 from .errors import InvalidInputError, TexturelessImageError
 from .kernel_est import KernelEstParams, estimate_kernel, mu_schedule, project_kernel
 from .structure import (
@@ -224,8 +224,7 @@ def _recenter_kernel(kernel: np.ndarray) -> np.ndarray:
     return _shift_zero(kernel, h // 2 - int(round(cy)), w // 2 - int(round(cx)))
 
 
-def _extract_structure(image, omega, theta: float, threshold: float | None, kernel_size: int,
-                       config: DeblurConfig):
+def _extract_structure(image, omega, theta: float, threshold: float | None, kernel_size: int):
     """TV split, shock filter and salient-edge selection on one image.
 
     A ``threshold`` of None starts from the adaptive initialization for the
@@ -286,7 +285,7 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
         kparams = config.kernel_params(level.kernel_size)
         theta = level.theta
         for it in range(config.inner_iters):
-            _, _, t, grad_s = _extract_structure(latent, omega, theta, t, level.kernel_size, config)
+            _, _, t, grad_s = _extract_structure(latent, omega, theta, t, level.kernel_size)
             kernel = estimate_kernel(grad_b, grad_s, kernel, kparams)
             # canonical representative of the shift-ambiguous blur pair; the
             # interim deconvolution below rebuilds the latent consistently
@@ -309,7 +308,7 @@ def structure_pass(image, config: DeblurConfig, theta: float | None = None,
     omega = smooth_weight(r_map(gray, config.window))
     return _extract_structure(gray, omega, theta if theta is not None else config.theta0,
                               threshold if threshold is not None else config.threshold,
-                              config.kernel_size, config)
+                              config.kernel_size)
 
 
 def crop_region(img, crop) -> np.ndarray:
@@ -320,17 +319,21 @@ def crop_region(img, crop) -> np.ndarray:
     return img[y : y + ch, x : x + cw]
 
 
-def deblur_blind(image, config: DeblurConfig, crop=None, progress=None):
+def deblur_blind(image, config: DeblurConfig, crop=None, progress=None, *, out=None):
     """End-to-end blind deblurring.
 
     Estimates the kernel from the (optionally cropped) grayscale image, then
     restores the full image per channel with structure-adaptive weights.
     The whole image's samples must lie in [0, 1].  ``crop`` is (x, y, w, h)
-    in pixels.  Returns (kernel, restored, grad_s).
+    in pixels.  The restored image goes into ``out`` when given, a writeable
+    float64 array of the image's shape that may be the image itself (read
+    for the last time by the restoration).  Returns (kernel, restored,
+    grad_s).
     """
     config.validate()
     img = np.asarray(image, dtype=np.float64)
     _unit_image(img)
+    _check_out(out, img.shape)
     if crop is not None:
         result = estimate_blur_kernel(crop_region(img, crop), config, progress=progress)
         kernel, theta, threshold = result.kernel, result.theta, result.threshold
@@ -347,5 +350,5 @@ def deblur_blind(image, config: DeblurConfig, crop=None, progress=None):
     else:
         result = estimate_blur_kernel(img, config, progress=progress)
         kernel, grad_s = result.kernel, result.grad_s
-    restored = adaptive_deconv(img, kernel, grad_s, config.lambda_final)
-    return kernel, np.clip(restored, 0.0, 1.0), grad_s
+    restored = adaptive_deconv(img, kernel, grad_s, config.lambda_final, out=out)
+    return kernel, np.clip(restored, 0.0, 1.0, out=restored), grad_s

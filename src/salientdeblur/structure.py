@@ -77,11 +77,16 @@ def tv_objective(u, image, theta: float, omega=None) -> float:
 
 
 def _tv_energy(u: np.ndarray, mag: np.ndarray, f: np.ndarray, lam: np.ndarray,
-               t: np.ndarray | None = None, t2: np.ndarray | None = None) -> float:
+               t: np.ndarray | None = None) -> float:
     """sum mag + (u - f)^2 / (2 lam), with mag = ||grad u||_2 and lam = theta * omega per pixel;
-    ``t`` and ``t2``, when given, are scratch planes shaped like u."""
-    fidelity = np.divide(np.square(np.subtract(u, f, out=t), out=t), np.multiply(2.0, lam, out=t2), out=t)
-    return float(mag.sum() + fidelity.sum())
+    ``t``, when given, is a scratch plane shaped like u.
+
+    The fidelity is summed as (u - f)^2 / lam and halved, with no plane for
+    2 lam: halving is exact, in each term and in each of the sum's pairwise
+    partial sums, so the energy has the bits of the direct formula.
+    """
+    fidelity = np.divide(np.square(np.subtract(u, f, out=t), out=t), lam, out=t)
+    return float(mag.sum() + 0.5 * fidelity.sum())
 
 
 def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, tol: float = 1e-3) -> np.ndarray:
@@ -97,17 +102,17 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
     is returned; the input itself is iterate zero, hence the output energy
     never exceeds the input's.
 
-    The iteration runs on kept buffers and holds about 12 image planes above
+    The iteration runs on kept buffers and holds about 11 image planes above
     its input: lam and tau / lam, the dual pair, the gradient pair and their
-    magnitude, the iterate, the previous one, the best one, and two
-    temporaries.  Only the divergence and the gradients are formed afresh
+    magnitude, the iterate, the previous one, the best one, and one
+    temporary.  Only the divergence and the gradients are formed afresh
     each iterate, after the planes they replace are dropped.
     """
     f = _channel(image, "adaptive_tv_denoise")
-    if not (math.isfinite(theta) and theta > 0):
+    if not (_is_real(theta) and math.isfinite(theta) and theta > 0):
         raise InvalidInputError("structure: theta must be a finite number > 0, got %r" % (theta,))
     _check_count(max_iters, 0, "structure: max_iters and tol are budgets; max_iters")
-    if not (math.isfinite(tol) and tol >= 0):
+    if not (_is_real(tol) and math.isfinite(tol) and tol >= 0):
         raise InvalidInputError("structure: max_iters and tol are budgets; tol must be a finite "
                                 "number >= 0, got %r" % (tol,))
     if omega is None:
@@ -116,20 +121,20 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
         om = np.asarray(omega, dtype=np.float64)
         if om.shape != f.shape:
             raise InvalidInputError("structure: omega shape %s != image shape %s" % (om.shape, f.shape))
-        if np.any(om <= 0) or np.any(om > 1):
+        if not np.all((om > 0) & (om <= 1)):  # a NaN fails both
             raise InvalidInputError("structure: omega entries must lie in (0, 1]")
         lam = theta * om
     tau = 0.125
     coef = tau / lam
     px = np.zeros_like(f)
     py = np.zeros_like(f)
-    t, t2 = np.empty_like(f), np.empty_like(f)  # temporaries
+    t = np.empty_like(f)  # temporary
     u = f
     # each iterate's gradients serve both its energy and the next dual step
     gx, gy = gradients(u)
     mag = np.hypot(gx, gy)
     best = f.copy()
-    best_energy = _tv_energy(u, mag, f, lam, t, t2)
+    best_energy = _tv_energy(u, mag, f, lam, t)
     for _ in range(max_iters):
         denom = np.add(1.0, np.multiply(coef, mag, out=t), out=t)
         np.divide(np.add(px, np.multiply(coef, gx, out=gx), out=px), denom, out=px)
@@ -139,7 +144,7 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
         u = divergence(GradientField(px, py))
         np.add(f, np.multiply(lam, u, out=u), out=u)
         gx, gy = gradients(u)
-        e = _tv_energy(u, np.hypot(gx, gy, out=mag), f, lam, t, t2)
+        e = _tv_energy(u, np.hypot(gx, gy, out=mag), f, lam, t)
         if e < best_energy:
             best_energy = e
             np.copyto(best, u)
@@ -209,7 +214,7 @@ def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
 
 
 def _mask(g: GradientField, threshold: float) -> np.ndarray:
-    if not (math.isfinite(threshold) and threshold >= 0):
+    if not (_is_real(threshold) and math.isfinite(threshold) and threshold >= 0):
         raise InvalidInputError("structure: threshold must be a finite number >= 0, got %r"
                                 % (threshold,))
     return np.hypot(g.gx, g.gy) >= threshold

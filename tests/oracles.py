@@ -5,8 +5,10 @@ problem is solved exactly by a taut-string sweep, convolution by naive
 loops, linear operators by dense matrix assembly + direct solve, the kernel
 fit's normal operator by image-size FFTs, the image blur and its adjoint by
 whole-frame 2-D FFTs, the restorations' buffered IRLS core by plain
-allocating array expressions, and PNG row filtering by a per-byte encoder
-that follows the PNG specification.
+allocating array expressions, the TV split's energy by its direct formula,
+and PNG row filtering by a per-byte encoder that follows the PNG
+specification.  ``align_kernel``, a kernel registration that only the tests
+use, lives here too, on the library's own alignment search.
 """
 
 import struct
@@ -287,6 +289,20 @@ def irls_deconv_allocating(image, op, lam, wx_base, wy_base, irls_iters, cg_iter
 
         out = _cg_allocating(apply_a, rhs, cg_iters, x0=out if warm_start else None, minv=minv)
     return out
+
+
+def tv_energy_direct(u, mag, f, lam):
+    """The TV split's energy, sum mag + (u - f)^2 / (2 lam), with 2 lam formed
+    as its own plane and the fidelity summed as it stands."""
+    return float(mag.sum() + ((u - f) ** 2 / (2.0 * lam)).sum())
+
+
+def align_kernel(k_est, k_true):
+    """k_est normalized and shifted into registration with k_true (same frame)."""
+    from salientdeblur.metrics import _aligned_canvases, _shifted
+
+    _, _, shift = _aligned_canvases(k_est, k_true)
+    return _shifted(k_est, shift), shift
 
 
 def _paeth(a, b, c):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import salientdeblur as sd
+from salientdeblur import deconv
 from salientdeblur.core import BlurOperator
-from salientdeblur.core import _fast_len
+from salientdeblur.core import _diff_x, _fast_len
 from salientdeblur.deconv import (CG_ITERS_FINAL, CG_ITERS_INTERIM, IRLS_ITERS, IRLS_ITERS_FINAL, L2_WEIGHT,
                                   WEIGHT_FLOOR, _irls_deconv_single, _l2_latent, deconv_objective)
 from salientdeblur.kernel_est import KernelEstParams
@@ -494,11 +495,124 @@ class TestBufferedCore:
             assert np.array_equal(img, kept)
 
 
+class TestRestoreInto:
+    """``adaptive_deconv(..., out=)``: the result in a given array, which may
+    be the image itself."""
+
+    @staticmethod
+    def case(channels):
+        rng = np.random.default_rng(26)
+        img = rng.random((20, 17) if channels is None else (20, 17, channels))
+        k = rng.random((5, 3))
+        grad_s = sd.GradientField(0.1 * rng.normal(size=(20, 17)), 0.1 * rng.normal(size=(20, 17)))
+        return img, k / k.sum(), grad_s
+
+    @pytest.mark.parametrize("channels", [None, 1, 3], ids=["gray", "stack1", "rgb"])
+    def test_into_the_image_matches_the_copying_call_bitwise(self, channels):
+        img, k, grad_s = self.case(channels)
+        expected = sd.adaptive_deconv(img, k, grad_s, 0.003)
+        into = img.copy()
+        assert sd.adaptive_deconv(into, k, grad_s, 0.003, out=into) is into
+        assert np.array_equal(into, expected)
+
+    @pytest.mark.parametrize("channels", [None, 3], ids=["gray", "rgb"])
+    def test_into_another_array_leaves_the_image_alone(self, channels):
+        img, k, grad_s = self.case(channels)
+        kept = img.copy()
+        # a strided view in Fortran order
+        into = np.full((2 * img.shape[1], 2 * img.shape[0]) + img.shape[2:], np.nan).swapaxes(0, 1)[::2, ::2]
+        assert sd.adaptive_deconv(img, k, grad_s, 0.003, out=into) is into
+        assert np.array_equal(into, sd.adaptive_deconv(img, k, grad_s, 0.003))
+        assert np.array_equal(img, kept)
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "read-only", "list"])
+    def test_bad_out_is_invalid_input(self, bad):
+        img, k, grad_s = self.case(3)
+        out = {"shape": lambda: np.empty((20, 17)), "dtype": lambda: np.empty(img.shape, np.float32),
+               "read-only": lambda: np.broadcast_to(0.0, img.shape), "list": img.tolist}[bad]()
+        with pytest.raises(sd.InvalidInputError, match="out"):
+            sd.adaptive_deconv(img, k, grad_s, 0.003, out=out)
+
+
+class _ScribblingOperator(BlurOperator):
+    """A blur operator that fills both planes it lends with NaN before each
+    application, as any content of theirs is dead by then."""
+
+    def _scribble(self):
+        for plane in self.scratch():
+            plane.fill(np.nan)
+
+    def forward(self, img):
+        self._scribble()
+        return super().forward(img)
+
+    def adjoint(self, img):
+        self._scribble()
+        return super().adjoint(img)
+
+    def normal(self, u):
+        self._scribble()
+        return super().normal(u)
+
+
+def test_lent_planes_hold_nothing_across_operator_calls(monkeypatch):
+    rng = np.random.default_rng(27)
+    k = rng.random((5, 7))
+    k /= k.sum()
+    grad_s = sd.GradientField(0.1 * rng.normal(size=(19, 24)), 0.1 * rng.normal(size=(19, 24)))
+    images = (rng.random((19, 24)), rng.random((19, 24, 3)))
+    expected = [(sd.tv_deconv(img, k, 0.005), sd.adaptive_deconv(img, k, grad_s, 0.003)) for img in images]
+    monkeypatch.setattr(deconv, "BlurOperator", _ScribblingOperator)
+    for img, (tv, adaptive) in zip(images, expected):
+        assert np.array_equal(sd.tv_deconv(img, k, 0.005), tv)
+        assert np.array_equal(sd.adaptive_deconv(img, k, grad_s, 0.003), adaptive)
+
+
+def test_lent_planes_are_contiguous_and_disjoint():
+    op = BlurOperator(np.full((3, 5), 1.0 / 15.0), (9, 14))
+    real, spectrum = op.scratch()
+    for plane in (real, spectrum):
+        assert plane.shape == (9, 14) and plane.dtype == np.float64 and plane.flags.c_contiguous
+    assert not np.may_share_memory(real, spectrum)
+    u = np.random.default_rng(28).random((9, 14))
+    expected = op.normal(u).copy()
+    np.copyto(spectrum, u)  # an input in a lent plane is read before it is overwritten
+    assert np.array_equal(op.normal(spectrum), expected)
+
+
+class TestFlatStencils:
+    """The flat x-differences equal the sliced ones bitwise, whatever the
+    shape and memory order."""
+
+    SHAPES = [(1, 9), (9, 1), (1, 1), (7, 12), (12, 7)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("out_order", ["C", "F"])
+    def test_diff_x_matches_slices(self, shape, order, out_order):
+        a = np.asarray(np.random.default_rng(29).normal(size=shape), order=order)
+        expected = np.zeros(shape)
+        expected[:, :-1] = a[:, 1:] - a[:, :-1]
+        out = np.full(shape, np.nan, order=out_order)
+        assert _diff_x(a, out) is out
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_core_matches_allocating_oracle(self, shape, order):
+        rng = np.random.default_rng(30)
+        img = np.asarray(rng.random(shape), order=order)
+        k = np.full((1, 1), 1.0) if 1 in shape else rng.random((3, 5)) / 7.5
+        for flags in ({}, {"warm_start": True, "precondition": True}):
+            args = (img, BlurOperator(k, shape), 0.01, 1.0, 1.0, 2, 10, 1e-3)
+            assert np.array_equal(_irls_deconv_single(*args, **flags), irls_deconv_allocating(*args, **flags))
+
+
 class TestWorkingSet:
     """Traced peak of a warm call above its start, in planes of the image
     (128², 9² kernel): the operator's buffers, the regularizer's kept
-    buffers, the iterate and the CG vectors and, for RGB, the finished
-    channels."""
+    buffers, the iterate and the CG vectors and, for RGB, the result unless
+    it goes into the input."""
 
     @staticmethod
     def _planes(call, side):
@@ -508,14 +622,28 @@ class TestWorkingSet:
         rng = np.random.default_rng(23)
         k = rng.random((9, 9))
         img = rng.random((128, 128))
-        assert self._planes(lambda: sd.tv_deconv(img, k / k.sum(), 0.005), 128) <= 14
+        assert self._planes(lambda: sd.tv_deconv(img, k / k.sum(), 0.005), 128) <= 13
 
     def test_rgb_adaptive_deconv(self):
         rng = np.random.default_rng(24)
         k = rng.random((9, 9))
         img = rng.random((128, 128, 3))
         grad_s = sd.GradientField(0.1 * rng.normal(size=(128, 128)), 0.1 * rng.normal(size=(128, 128)))
-        assert self._planes(lambda: sd.adaptive_deconv(img, k / k.sum(), grad_s, 0.002), 128) <= 17
+        assert self._planes(lambda: sd.adaptive_deconv(img, k / k.sum(), grad_s, 0.002), 128) <= 16
+
+    def test_rgb_adaptive_deconv_into_its_input(self):
+        # the CLI's call: no planes for the result
+        rng = np.random.default_rng(24)
+        k = rng.random((9, 9))
+        img = rng.random((128, 128, 3))
+        grad_s = sd.GradientField(0.1 * rng.normal(size=(128, 128)), 0.1 * rng.normal(size=(128, 128)))
+        into = np.empty_like(img)
+
+        def in_place():
+            np.copyto(into, img)
+            sd.adaptive_deconv(into, k / k.sum(), grad_s, 0.002, out=into)
+
+        assert self._planes(in_place, 128) <= 13
 
 
 def test_l2_latent_solves_its_periodic_normal_equations():
@@ -544,3 +672,10 @@ def test_l2_latent_solves_its_periodic_normal_equations():
     a = dense_from_operator(normal, frame.shape)
     x = np.linalg.solve(a, blur(frame, k[::-1, ::-1]).ravel()).reshape(frame.shape)
     assert np.abs(_l2_latent(image, k) - x[top : top + h, left : left + w]).max() <= 1e-10
+
+
+def test_l2_latent_owns_its_crop():
+    # a view would pin the whole padded frame
+    rng = np.random.default_rng(31)
+    latent = _l2_latent(rng.random((10, 12)), np.full((3, 5), 1.0 / 15.0))
+    assert latent.shape == (10, 12) and latent.base is None

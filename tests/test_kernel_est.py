@@ -304,18 +304,36 @@ class TestEstimateKernel:
         assert np.array_equal(k1, k2)
 
 
-@pytest.mark.parametrize("name", ["gamma", "mu"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("name", ["gamma", "mu", "alpha"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, True, "0.1"])
 def test_params_reject_bad_weights(name, value):
+    # a bool weight used to pass as 1.0
     with pytest.raises(sd.InvalidInputError, match=name):
         KernelEstParams(**{name: value})
 
 
-@pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0, True, "0.1"])
 def test_l0_smooth_rejects_bad_weight(mu):
-    # a nan mu would return the kernel unchanged
+    # a nan mu would return the kernel unchanged, True ran as 1.0 and a
+    # string ended in a raw TypeError
     with pytest.raises(sd.InvalidInputError, match="mu"):
         sd.l0_gradient_smooth(sd.kernel_preset("line-d", 7), mu)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_l0_smooth_rejects_non_finite_kernel(bad):
+    # a nan weight used to give an all-nan grid
+    k = sd.kernel_preset("line-d", 7)
+    k[3, 2] = bad
+    with pytest.raises(sd.InvalidInputError, match="finite"):
+        sd.l0_gradient_smooth(k, 0.005)
+
+
+@pytest.mark.parametrize("size", [4.5, np.nan, True, 2, "9"])
+def test_mu_schedule_rejects_bad_sizes(size):
+    # 4.5 was accepted and nan returned nan
+    with pytest.raises(sd.InvalidInputError, match="kernel size"):
+        sd.mu_schedule(size)
 
 
 def test_params_validation():

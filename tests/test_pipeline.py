@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import salientdeblur as sd
+from salientdeblur import pipeline
 from salientdeblur.pipeline import parse_config_text
 
 
@@ -254,6 +255,32 @@ class TestPipeline:
         kernel, restored, _ = sd.deblur_blind(blurred, sd.DeblurConfig(kernel_size=7), crop=(16, 16, 96, 96))
         assert restored.shape == blurred.shape
         sd.check_kernel(kernel)
+
+    @pytest.mark.parametrize("color", [False, True], ids=["gray", "rgb"])
+    @pytest.mark.parametrize("crop", [None, (8, 8, 48, 48)], ids=["full", "crop"])
+    def test_restores_into_its_input_bitwise(self, color, crop):
+        chart = sd.test_chart(64)
+        sharp = np.dstack([chart, np.roll(chart, 3, axis=0), np.roll(chart, 5, axis=1)]) if color else chart
+        blurred = sd.synthesize(sharp, sd.kernel_preset("line-h", 5), noise_sigma=0.005, seed=4)
+        cfg = sd.DeblurConfig(kernel_size=5)
+        kernel, restored, _ = sd.deblur_blind(blurred, cfg, crop=crop)
+        image = blurred.copy()
+        kernel_in, restored_in, _ = sd.deblur_blind(image, cfg, crop=crop, out=image)
+        assert restored_in is image
+        assert np.array_equal(kernel_in, kernel) and np.array_equal(restored_in, restored)
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "read-only"])
+    def test_bad_out_is_rejected_before_estimation(self, bad, monkeypatch):
+        blurred = sd.test_chart(64)
+        out = {"shape": np.empty((64, 63)), "dtype": np.empty((64, 64), np.float32),
+               "read-only": np.broadcast_to(0.0, (64, 64))}[bad]
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the kernel estimate ran")
+
+        monkeypatch.setattr(pipeline, "estimate_blur_kernel", unexpected)
+        with pytest.raises(sd.InvalidInputError, match="out"):
+            sd.deblur_blind(blurred, sd.DeblurConfig(kernel_size=5), out=out)
 
     def test_bad_crop_rejected(self):
         chart = sd.test_chart(96)

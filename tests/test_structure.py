@@ -4,9 +4,9 @@ import pytest
 import salientdeblur as sd
 from salientdeblur.metrics import evaluate_kernels
 from salientdeblur.pipeline import structure_pass
-from salientdeblur.structure import tv_objective
+from salientdeblur.structure import _tv_energy, tv_objective
 
-from oracles import condat_tv1d
+from oracles import condat_tv1d, tv_energy_direct
 from test_core import warm_peak
 
 
@@ -132,9 +132,17 @@ class TestAdaptiveTV:
         with pytest.raises(sd.InvalidInputError):
             sd.adaptive_tv_denoise(img, 0.1, np.full((5, 5), 1.5))
 
-    @pytest.mark.parametrize("theta", [np.nan, np.inf, 0.0, -0.1])
+    def test_rejects_non_finite_omega(self):
+        # a nan passed both range checks and the input came back unchanged
+        omega = np.full((5, 5), 0.5)
+        omega[2, 3] = np.nan
+        with pytest.raises(sd.InvalidInputError, match="omega"):
+            sd.adaptive_tv_denoise(np.random.default_rng(3).random((5, 5)), 0.1, omega)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, 0.0, -0.1, True, "1"])
     def test_rejects_bad_theta(self, theta):
-        # a nan or inf theta would return the input unchanged
+        # a nan or inf theta would return the input unchanged; True ran as 1
+        # and a string ended in a raw TypeError
         img = np.random.default_rng(3).random((8, 8))
         with pytest.raises(sd.InvalidInputError, match="theta"):
             sd.adaptive_tv_denoise(img, theta)
@@ -147,7 +155,7 @@ class TestAdaptiveTV:
             sd.adaptive_tv_denoise(img, 0.1, None, max_iters, tol)
 
     @pytest.mark.parametrize("max_iters, tol", [
-        (2.5, 1e-3), (True, 1e-3), (100, np.nan), (100, np.inf),
+        (2.5, 1e-3), (True, 1e-3), (100, np.nan), (100, np.inf), (100, True), (100, "0.1"),
     ])
     def test_rejects_mistyped_budget(self, max_iters, tol):
         # a float max_iters used to end in a raw TypeError; a nan tol ran
@@ -155,6 +163,21 @@ class TestAdaptiveTV:
         img = np.random.default_rng(3).random((24, 24))
         with pytest.raises(sd.InvalidInputError, match="max_iters and tol"):
             sd.adaptive_tv_denoise(img, 1.0, None, max_iters, tol)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_tv_energy_matches_the_direct_formula_bitwise(order):
+    # the fidelity is summed over lam and halved, with no plane for 2 lam
+    rng = np.random.default_rng(32)
+    u, f = (np.asarray(rng.random((37, 29)), order=order) for _ in range(2))
+    omega = np.asarray(0.99 * rng.random((37, 29)) + 0.01, order=order)
+    mag = np.hypot(*sd.gradients(u))
+    for theta in (1.0, 0.7, 3e-4, 2e3):
+        lam = theta * omega
+        expected = tv_energy_direct(u, mag, f, lam)
+        assert _tv_energy(u, mag, f, lam) == expected
+        assert _tv_energy(u, mag, f, lam, np.empty_like(u)) == expected
+        assert tv_objective(u, f, theta, omega) == expected
 
 
 class TestShockFilter:
@@ -230,9 +253,9 @@ class TestSelectSalientEdges:
         assert np.array_equal(sel.gy[mask], g.gy[mask])
         assert not sel.gx[~mask].any() and not sel.gy[~mask].any()
 
-    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -0.1])
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -0.1, True, "0.1"])
     def test_rejects_bad_threshold(self, threshold):
-        # a nan threshold would give an all-False mask
+        # a nan threshold would give an all-False mask, and True thresholded at 1
         img = np.random.default_rng(7).random((10, 10))
         for select in (sd.salient_mask, sd.select_salient_edges):
             with pytest.raises(sd.InvalidInputError, match="threshold"):
@@ -343,8 +366,8 @@ class TestWorkingSet:
 
     def test_adaptive_tv_denoise(self):
         omega = sd.smooth_weight(sd.r_map(self.IMAGE))
-        assert self._planes(lambda: sd.adaptive_tv_denoise(self.IMAGE, 1.0, omega)) <= 13
+        assert self._planes(lambda: sd.adaptive_tv_denoise(self.IMAGE, 1.0, omega)) <= 12
 
     def test_structure_pass(self):
         config = sd.DeblurConfig(kernel_size=9)
-        assert self._planes(lambda: structure_pass(self.IMAGE, config)) <= 14
+        assert self._planes(lambda: structure_pass(self.IMAGE, config)) <= 13

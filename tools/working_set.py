@@ -16,7 +16,9 @@ and the structure field of the final restoration comes from
 * ``structure_pass``: the three above plus edge selection;
 * ``l2_latent``: the crop path's full-frame latent;
 * ``tv_deconv``: the interim restoration, gray;
-* ``adaptive_deconv``: the final restoration, gray and RGB.
+* ``adaptive_deconv``: the final restoration, gray and RGB;
+* ``adaptive_deconv-rgb-out``: the RGB one restoring into its input with
+  ``out=``, as the CLI's ``deblur`` and ``deconv --method adaptive`` do.
 
 Run it with the tree to measure on ``PYTHONPATH``::
 
@@ -61,6 +63,12 @@ def stages(size: int, kernel_size: int):
     config = pipeline.DeblurConfig(kernel_size=kernel_size)
     omega = structure.smooth_weight(structure.r_map(gray, config.window))
     grad_s = pipeline.structure_pass(gray, config)[3]
+    into = np.empty_like(rgb)
+
+    def in_place():  # the CLI's call: the restoration overwrites its input
+        np.copyto(into, rgb)
+        return adaptive_deconv(into, k, grad_s, config.lambda_final, out=into)
+
     return (
         ("r_map", lambda: structure.r_map(gray, config.window)),
         ("adaptive_tv_denoise", lambda: structure.adaptive_tv_denoise(gray, config.theta0, omega)),
@@ -70,6 +78,7 @@ def stages(size: int, kernel_size: int):
         ("tv_deconv", lambda: tv_deconv(gray, k, config.lambda_c)),
         ("adaptive_deconv", lambda: adaptive_deconv(gray, k, grad_s, config.lambda_final)),
         ("adaptive_deconv-rgb", lambda: adaptive_deconv(rgb, k, grad_s, config.lambda_final)),
+        ("adaptive_deconv-rgb-out", in_place),
     )
 
 
