@@ -9,7 +9,6 @@ restoring the latent image with structure-adaptive regularization.
 from .core import (
     BlurOperator,
     GradientField,
-    check_kernel,
     convolve,
     delta_kernel,
     divergence,
@@ -61,8 +60,8 @@ from .synth import kernel_preset, synthesize, test_chart
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlurOperator", "GradientField", "check_kernel", "convolve", "delta_kernel",
-    "divergence", "gradients", "poisson_reconstruct", "resample", "resize", "to_grayscale",
+    "BlurOperator", "GradientField", "convolve", "delta_kernel", "divergence", "gradients",
+    "poisson_reconstruct", "resample", "resize", "to_grayscale",
     "adaptive_deconv", "cg_solve", "tv_deconv",
     "DeblurError", "DegenerateStructureError", "InvalidInputError", "NumericalError",
     "TexturelessImageError",

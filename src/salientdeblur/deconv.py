@@ -39,12 +39,10 @@ prior on a replicate-padded periodic frame, with no CG at all.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import (BlurOperator, GradientField, _check_count, _check_kernel_weights, _diff_x, _fast_len, _inner,
-                   _is_real, gradients)
+from .core import (BlurOperator, GradientField, _check_count, _check_finite, _check_kernel_weights, _check_real,
+                   _diff_x, _fast_len, _inner, gradients)
 from .errors import InvalidInputError, NumericalError
 from .structure import smooth_weight
 
@@ -97,8 +95,10 @@ def cg_solve(apply_a, b: np.ndarray, iters: int, *, x0: np.ndarray | None = None
     for name, given in (("out", out), ("step", step)):
         if given is not None and not (isinstance(given, np.ndarray) and given.dtype == np.float64):
             raise InvalidInputError("conjugate-gradient: %s must be a float64 array" % name)
-    if minv is not None and not (np.all(np.isfinite(minv)) and np.all(np.greater(minv, 0.0))):
-        raise InvalidInputError("conjugate-gradient: minv must be finite and > 0")
+    if minv is not None:
+        _check_finite("conjugate-gradient: minv", minv)
+        if not np.all(np.greater(minv, 0.0)):
+            raise InvalidInputError("conjugate-gradient: minv must be > 0")
     x = np.empty_like(b) if out is None else out
     if x0 is None:
         x.fill(0.0)
@@ -232,10 +232,8 @@ def _restore(image, kernel, lam: float, wx_base, wy_base, final: bool, out=None)
     if img.ndim not in (2, 3) or img.ndim == 3 and img.shape[2] == 0:
         raise InvalidInputError("deconv: expected an (h, w) or (h, w, c) image with c >= 1, got shape %s"
                                 % (img.shape,))
-    if not np.all(np.isfinite(img)):
-        raise InvalidInputError("deconv: image samples must be finite")
-    if not (_is_real(lam) and math.isfinite(lam) and lam > 0):
-        raise InvalidInputError("deconv: lambda must be a finite number > 0, got %r" % (lam,))
+    _check_finite("deconv: image samples", img)
+    _check_real(lam, "deconv: lambda", 0)
     _check_out(out, img.shape)
     k = np.asarray(kernel, dtype=np.float64)
     _check_kernel_weights(k)
@@ -321,6 +319,5 @@ def adaptive_deconv(image, kernel, grad_s: GradientField, lam: float, *, out: np
     if sx.shape != np.shape(image)[:2] or sy.shape != sx.shape:
         raise InvalidInputError("deconv: structure field shape %s != image shape %s"
                                 % (sx.shape, np.shape(image)[:2]))
-    if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
-        raise InvalidInputError("deconv: structure field must be finite")
+    _check_finite("deconv: structure field", sx, sy)
     return _restore(image, kernel, lam, sx, sy, True, out)

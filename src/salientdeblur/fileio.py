@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _check_finite
 from .errors import InvalidInputError
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
@@ -211,13 +212,15 @@ def read_image(path) -> np.ndarray:
 
 
 def write_image(path, img, bit_depth: int = 8) -> None:
-    """Write a [0, 1] image as PNG or PNM at the requested bit depth."""
+    """Write a [0, 1] image as PNG or PNM at the requested bit depth; samples
+    outside [0, 1] are clipped, and a non-finite one is an error."""
     path = Path(path)
     a = np.asarray(img, dtype=np.float64)
     if a.ndim == 3 and a.shape[2] == 1:
         a = a[:, :, 0]
     if a.ndim not in (2, 3) or (a.ndim == 3 and a.shape[2] != 3):
         raise InvalidInputError("save: expected (h, w) or (h, w, 3) image for %s" % path)
+    _check_finite("save: image samples", a)
     if bit_depth not in (8, 16):
         raise InvalidInputError("save: bit depth must be 8 or 16")
     scale = 255.0 if bit_depth == 8 else 65535.0
@@ -253,8 +256,7 @@ def read_kernel(path) -> np.ndarray:
     k = np.array(rows, dtype=np.float64)
     if k.shape != (h, w):
         raise InvalidInputError("load: kernel file %s has shape %s, header says %s" % (path, k.shape, (h, w)))
-    if not np.all(np.isfinite(k)):
-        raise InvalidInputError("load: kernel file %s holds non-finite values" % path)
+    _check_finite("load: kernel file %s values" % path, k)
     return k
 
 
@@ -263,14 +265,16 @@ def write_kernel(path, kernel) -> None:
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2:
         raise InvalidInputError("save: kernel must be 2D")
+    _check_finite("save: kernel weights", k)
     h, w = k.shape
     lines = ["%d %d" % (w, h)]
     lines += [" ".join("%.17g" % v for v in row) for row in k]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_kernel_image(path, kernel, bit_depth: int = 8) -> None:
-    """Write a kernel as a max-normalized grayscale image for inspection."""
+def write_kernel_image(path, kernel) -> None:
+    """Write a kernel as a max-normalized 8-bit grayscale image for inspection."""
     k = np.asarray(kernel, dtype=np.float64)
+    _check_finite("save: kernel weights", k)
     peak = k.max()
-    write_image(path, k / peak if peak > 0 else k, bit_depth=bit_depth)
+    write_image(path, k / peak if peak > 0 else k)

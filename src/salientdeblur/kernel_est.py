@@ -10,13 +10,12 @@ unit sum) after every inner solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GradientField, _check_count, _is_real, _pad_replicate, convolve, delta_kernel, gradients,
-                   periodic_gradients)
+from .core import (GradientField, _check_count, _check_finite, _check_real, _pad_replicate, convolve, delta_kernel,
+                   gradients, periodic_gradients)
 from .deconv import cg_solve
 from .errors import DegenerateStructureError, InvalidInputError, NumericalError
 
@@ -44,14 +43,9 @@ class KernelEstParams:
     cg_iters: int = 25
 
     def __post_init__(self):
-        for name in ("gamma", "mu"):
-            value = getattr(self, name)
-            if not (_is_real(value) and math.isfinite(value) and value >= 0):
-                raise InvalidInputError("kernel-estimation: %s must be a finite number >= 0, got %r"
-                                        % (name, value))
-        if not (_is_real(self.alpha) and 0 < self.alpha <= 1):
-            raise InvalidInputError("kernel-estimation: alpha must be a number in (0, 1], got %r"
-                                    % (self.alpha,))
+        _check_real(self.gamma, "kernel-estimation: gamma", 0, closed=True)
+        _check_real(self.alpha, "kernel-estimation: alpha", 0, 1)
+        _check_real(self.mu, "kernel-estimation: mu", 0, closed=True)
         for name in ("itr", "irls_iters", "cg_iters"):
             _check_count(getattr(self, name), 1, "kernel-estimation: " + name)
 
@@ -62,16 +56,15 @@ def mu_schedule(kernel_size: int) -> float:
     return float(np.clip(5e-3 * (kernel_size / 25.0), 1e-3, 2e-2))
 
 
-def gradient_count(kernel, tol: float | None = None) -> int:
+def gradient_count(kernel) -> int:
     """Number of pixels whose forward-difference gradient is (numerically) nonzero.
 
-    ``tol`` defaults to a small fraction of the grid's largest gradient, so
-    the count is invariant to global rescaling and to additive constants.
+    The tolerance is a small fraction of the grid's largest gradient, so the
+    count is invariant to global rescaling and to additive constants.
     """
     g = gradients(np.asarray(kernel, dtype=np.float64))
     mag = np.abs(g.gx) + np.abs(g.gy)
-    if tol is None:
-        tol = max(COUNT_ABS_FLOOR, COUNT_REL_TOL * float(mag.max()))
+    tol = max(COUNT_ABS_FLOOR, COUNT_REL_TOL * float(mag.max()))
     return int(np.count_nonzero(mag > tol))
 
 
@@ -229,10 +222,8 @@ def l0_gradient_smooth(kernel, mu: float) -> np.ndarray:
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2:
         raise InvalidInputError("kernel-estimation: kernel grid must be 2D")
-    if not np.all(np.isfinite(k)):
-        raise InvalidInputError("kernel-estimation: kernel weights must be finite")
-    if not (_is_real(mu) and math.isfinite(mu) and mu >= 0):
-        raise InvalidInputError("kernel-estimation: mu must be a finite number >= 0, got %r" % (mu,))
+    _check_finite("kernel-estimation: kernel weights", k)
+    _check_real(mu, "kernel-estimation: mu", 0, closed=True)
     if mu == 0.0:
         return k.copy()
     gk = gradients(k)

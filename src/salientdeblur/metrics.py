@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _shift_zero, to_grayscale
+from .core import _check_finite, _shift_zero, to_grayscale
 from .deconv import tv_deconv
 from .errors import InvalidInputError
 from .fileio import read_image, read_kernel
@@ -51,8 +51,7 @@ def _embed_center(k: np.ndarray, shape) -> np.ndarray:
 
 def _normalize(k) -> np.ndarray:
     k = np.asarray(k, dtype=np.float64)
-    if not np.all(np.isfinite(k)):
-        raise InvalidInputError("metrics: kernel weights must be finite")
+    _check_finite("metrics: kernel weights", k)
     total = k.sum()
     if total <= 0:
         raise InvalidInputError("metrics: kernel has no positive mass")
@@ -74,8 +73,6 @@ def _aligned_canvases(k_est, k_true):
         side += 1
     radius = side // 2
     canvas = side + 2 * radius
-    if canvas % 2 == 0:
-        canvas += 1
     ac = _embed_center(a, (canvas, canvas))
     bc = _embed_center(b, (canvas, canvas))
     best_corr, best_shift = -np.inf, (0, 0)
@@ -109,8 +106,7 @@ def psnr(img, ref) -> float:
     b = np.asarray(ref, dtype=np.float64)
     if a.shape != b.shape:
         raise InvalidInputError("metrics: psnr images differ in shape: %s vs %s" % (a.shape, b.shape))
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvalidInputError("metrics: psnr images must be finite")
+    _check_finite("metrics: psnr images", a, b)
     mse = float(((a - b) ** 2).mean())
     if mse <= 0.0:
         return PSNR_CAP_DB
@@ -124,8 +120,7 @@ def error_ratio(restored, truth_restored, truth) -> float:
     i_g = np.asarray(truth, dtype=np.float64)
     if not (i_r.shape == i_t.shape == i_g.shape):
         raise InvalidInputError("metrics: error_ratio images differ in shape")
-    if not (np.all(np.isfinite(i_r)) and np.all(np.isfinite(i_t)) and np.all(np.isfinite(i_g))):
-        raise InvalidInputError("metrics: error_ratio images must be finite")
+    _check_finite("metrics: error_ratio images", i_r, i_t, i_g)
     denom = float(((i_t - i_g) ** 2).sum())
     if denom < 1e-12:
         return ERROR_RATIO_CAP
@@ -172,12 +167,12 @@ def evaluate_case(case_dir, config: DeblurConfig | None = None) -> EvalReport:
     return evaluate_kernels(result.kernel, k_true, blurred, sharp)
 
 
-def cumulative_table(ratios, thresholds=CUMULATIVE_THRESHOLDS):
-    """Fraction of cases at or below each error-ratio threshold."""
+def cumulative_table(ratios):
+    """Fraction of cases at or below each of ``CUMULATIVE_THRESHOLDS``."""
     values = np.asarray(list(ratios), dtype=np.float64)
     if values.size == 0:
-        return [(float(t), 0.0) for t in thresholds]
-    return [(float(t), float((values <= t).mean())) for t in thresholds]
+        return [(float(t), 0.0) for t in CUMULATIVE_THRESHOLDS]
+    return [(float(t), float((values <= t).mean())) for t in CUMULATIVE_THRESHOLDS]
 
 
 def evaluate_directory(root, csv_path=None, config: DeblurConfig | None = None):

@@ -10,18 +10,18 @@ kernel and structure drive the full-resolution adaptive restoration.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import (_check_count, _is_real, _shift_zero, as_image, delta_kernel, gradients, resample, resize,
+from .core import (_check_count, _check_real, _shift_zero, as_image, delta_kernel, gradients, resample, resize,
                    to_grayscale)
 from .deconv import _check_out, _l2_latent, adaptive_deconv, tv_deconv
 from .errors import InvalidInputError, TexturelessImageError
 from .kernel_est import KernelEstParams, estimate_kernel, mu_schedule, project_kernel
 from .structure import (
+    _check_window,
     adaptive_tv_denoise,
     init_threshold,
     r_map,
@@ -58,30 +58,17 @@ class DeblurConfig:
     threshold: float | None = None   # None: adaptive initialization
 
     def validate(self) -> "DeblurConfig":
-        for name, typ in _CONFIG_TYPES.items():
-            value = getattr(self, name)
-            if value is None and name in _OPTIONAL_KEYS:
-                continue
-            if typ is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise InvalidInputError("config: %s must be an integer, got %r" % (name, value))
-            if typ is float and not (_is_real(value) and math.isfinite(value)):
-                raise InvalidInputError("config: %s must be a finite number, got %r" % (name, value))
-        if self.kernel_size < 3 or self.kernel_size % 2 == 0:
-            raise InvalidInputError("config: kernel_size must be odd and >= 3")
-        if self.decay <= 1:
-            raise InvalidInputError("config: decay must be > 1")
-        if self.inner_iters < 1:
-            raise InvalidInputError("config: inner_iters must be >= 1")
-        if self.theta0 <= 0 or self.lambda_c <= 0 or self.lambda_final <= 0:
-            raise InvalidInputError("config: theta0, lambda_c and lambda_final must be > 0")
-        if self.window < 3 or self.window % 2 == 0:
-            raise InvalidInputError("config: window must be odd and >= 3")
-        if self.mu is not None and self.mu < 0:
-            raise InvalidInputError("config: mu must be >= 0")
-        if self.threshold is not None and self.threshold < 0:
-            raise InvalidInputError("config: threshold must be >= 0")
-        # delegate the kernel-prior ranges to the kernel solver's bundle
-        self.kernel_params(self.kernel_size)
+        """Check every field, the pyramid's and the window's with the checks
+        that ``build_schedule`` and ``r_map`` run; returns the config."""
+        _check_schedule(self.kernel_size, self.theta0, self.decay, self.inner_iters, "config")
+        _check_window(self.window, "config")
+        for name in ("lambda_c", "lambda_final"):
+            _check_real(getattr(self, name), "config: " + name, 0)
+        _check_real(self.gamma, "config: gamma", 0, closed=True)
+        _check_real(self.alpha, "config: alpha", 0, 1)
+        for name in ("mu", "threshold"):
+            if getattr(self, name) is not None:
+                _check_real(getattr(self, name), "config: " + name, 0, closed=True)
         return self
 
     def kernel_params(self, level_kernel_size: int) -> KernelEstParams:
@@ -96,7 +83,7 @@ _CONFIG_TYPES = {f.name: {"int": int, "float": float}[f.type.split(" | ")[0]]
 _OPTIONAL_KEYS = {f.name for f in fields(DeblurConfig) if f.type.endswith(" | None")}
 
 
-def parse_config_text(text: str, base: DeblurConfig | None = None, kernel_size: int | None = None) -> DeblurConfig:
+def parse_config_text(text: str, kernel_size: int | None = None) -> DeblurConfig:
     """Parse ``key = value`` lines into a config; unknown keys are errors."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,21 +96,15 @@ def parse_config_text(text: str, base: DeblurConfig | None = None, kernel_size: 
         if key not in _CONFIG_TYPES:
             raise InvalidInputError("config: unknown key %r on line %d" % (key, lineno))
         values[key] = _parse_config_value(key, value)
-    if base is not None:
-        cfg = replace(base, **values)
-    else:
-        if "kernel_size" not in values:
-            if kernel_size is None:
-                raise InvalidInputError("config: kernel_size missing (set it in the file or pass a flag)")
-            values["kernel_size"] = kernel_size
-        cfg = DeblurConfig(**values)
     if kernel_size is not None:
-        cfg = replace(cfg, kernel_size=kernel_size)
-    return cfg
+        values["kernel_size"] = kernel_size
+    if "kernel_size" not in values:
+        raise InvalidInputError("config: kernel_size missing (set it in the file or pass a flag)")
+    return DeblurConfig(**values)
 
 
 def _parse_config_value(key: str, value: str):
-    if value.lower() == "none":
+    if value.lower() == "none" and key in _OPTIONAL_KEYS:
         return None
     try:
         return _CONFIG_TYPES[key](value)
@@ -158,6 +139,14 @@ def _round_odd(x: float) -> int:
     return 2 * int(math.floor((x - 1.0) / 2.0 + 0.5)) + 1
 
 
+def _check_schedule(kernel_size, theta0, decay, inner_iters, where: str) -> None:
+    """The pyramid's parameters, for ``build_schedule`` and ``DeblurConfig``."""
+    _check_count(kernel_size, 3, where + ": kernel_size", odd=True)
+    _check_real(theta0, where + ": theta0", 0)
+    _check_real(decay, where + ": decay", 1)
+    _check_count(inner_iters, 1, where + ": inner_iters")
+
+
 def build_schedule(image_shape, kernel_size: int, theta0: float = 1.0, decay: float = 1.1,
                    inner_iters: int = 5) -> ScaleSchedule:
     """Coarse-to-fine pyramid: consecutive scales shrink by sqrt(2)/2 until the
@@ -166,14 +155,7 @@ def build_schedule(image_shape, kernel_size: int, theta0: float = 1.0, decay: fl
     h, w = image_shape[0], image_shape[1]
     _check_count(h, 1, "schedule: image height")
     _check_count(w, 1, "schedule: image width")
-    _check_count(kernel_size, 3, "schedule: kernel_size")
-    if kernel_size % 2 == 0:
-        raise InvalidInputError("schedule: kernel_size must be odd, got %d" % kernel_size)
-    if not (math.isfinite(theta0) and theta0 > 0):
-        raise InvalidInputError("schedule: theta0 must be a finite number > 0, got %r" % (theta0,))
-    if not (math.isfinite(decay) and decay > 1):
-        raise InvalidInputError("schedule: decay must be a finite number > 1, got %r" % (decay,))
-    _check_count(inner_iters, 1, "schedule: inner_iters")
+    _check_schedule(kernel_size, theta0, decay, inner_iters, "schedule")
     if kernel_size > h or kernel_size > w:
         raise InvalidInputError("schedule: kernel %d does not fit image %s" % (kernel_size, (h, w)))
     n = 0
@@ -312,9 +294,14 @@ def structure_pass(image, config: DeblurConfig, theta: float | None = None,
 
 
 def crop_region(img, crop) -> np.ndarray:
-    """The (x, y, w, h) pixel rectangle of an image; it must lie inside it."""
-    x, y, cw, ch = (int(v) for v in crop)
-    if x < 0 or y < 0 or cw < 1 or ch < 1 or y + ch > img.shape[0] or x + cw > img.shape[1]:
+    """The (x, y, w, h) pixel rectangle of an image: integers, x and y >= 0,
+    w and h >= 1, lying inside the image."""
+    if np.shape(crop) != (4,):
+        raise InvalidInputError("crop: expected (x, y, w, h), got %r" % (crop,))
+    x, y, cw, ch = crop
+    for value, least, name in ((x, 0, "x"), (y, 0, "y"), (cw, 1, "w"), (ch, 1, "h")):
+        _check_count(value, least, "crop: " + name)
+    if y + ch > img.shape[0] or x + cw > img.shape[1]:
         raise InvalidInputError("crop: rectangle %s outside image %s" % (crop, img.shape[:2]))
     return img[y : y + ch, x : x + cw]
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .core import GradientField, _check_count, _inner, _is_real, _pad_replicate, divergence, gradients
+from .core import (GradientField, _check_count, _check_finite, _check_real, _inner, _pad_replicate, divergence,
+                   gradients)
 from .errors import InvalidInputError
 
 
@@ -22,9 +23,13 @@ def _channel(image, stage: str) -> np.ndarray:
     a = np.asarray(image, dtype=np.float64)
     if a.ndim != 2:
         raise InvalidInputError("structure: %s expects a single-channel image" % stage)
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("structure: %s expects finite samples" % stage)
+    _check_finite("structure: %s samples" % stage, a)
     return a
+
+
+def _check_window(window, where: str) -> None:
+    """The coherence window's side, for ``r_map`` and ``DeblurConfig``."""
+    _check_count(window, 3, where + ": window", odd=True)
 
 
 def _window_sum(a: np.ndarray, window: int) -> np.ndarray:
@@ -48,9 +53,7 @@ def r_map(image, window: int = 5) -> np.ndarray:
     near one on coherent structure.  Windows are clipped at the image border.
     """
     a = _channel(image, "r_map")
-    _check_count(window, 3, "structure: window")
-    if window % 2 == 0:
-        raise InvalidInputError("structure: window must be odd, got %d" % window)
+    _check_window(window, "structure")
     g = gradients(a)
     sx = _window_sum(g.gx, window)
     sy = _window_sum(g.gy, window)
@@ -109,12 +112,9 @@ def adaptive_tv_denoise(image, theta: float, omega=None, max_iters: int = 100, t
     each iterate, after the planes they replace are dropped.
     """
     f = _channel(image, "adaptive_tv_denoise")
-    if not (_is_real(theta) and math.isfinite(theta) and theta > 0):
-        raise InvalidInputError("structure: theta must be a finite number > 0, got %r" % (theta,))
+    _check_real(theta, "structure: theta", 0)
     _check_count(max_iters, 0, "structure: max_iters and tol are budgets; max_iters")
-    if not (_is_real(tol) and math.isfinite(tol) and tol >= 0):
-        raise InvalidInputError("structure: max_iters and tol are budgets; tol must be a finite "
-                                "number >= 0, got %r" % (tol,))
+    _check_real(tol, "structure: max_iters and tol are budgets; tol", 0, closed=True)
     if omega is None:
         lam = np.full_like(f, theta)
     else:
@@ -180,8 +180,7 @@ def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
     five stencil terms.
     """
     a = _channel(image, "shock_filter")
-    if not (_is_real(dt) and 0 < dt <= 1):
-        raise InvalidInputError("structure: dt must be a number in (0, 1], got %r" % (dt,))
+    _check_real(dt, "structure: dt", 0, 1)
     _check_count(steps, 0, "structure: steps")
     lo, hi = a.min(), a.max()
     out = a.copy()
@@ -214,9 +213,7 @@ def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
 
 
 def _mask(g: GradientField, threshold: float) -> np.ndarray:
-    if not (_is_real(threshold) and math.isfinite(threshold) and threshold >= 0):
-        raise InvalidInputError("structure: threshold must be a finite number >= 0, got %r"
-                                % (threshold,))
+    _check_real(threshold, "structure: threshold", 0, closed=True)
     return np.hypot(g.gx, g.gy) >= threshold
 
 
@@ -247,6 +244,7 @@ def init_threshold(grad: GradientField, image_pixels: int, kernel_pixels: int) -
     gx = np.asarray(grad[0], dtype=np.float64).ravel()
     gy = np.asarray(grad[1], dtype=np.float64).ravel()
     mag = np.hypot(gx, gy)
+    _check_finite("structure: gradient field", mag)
     nz = mag > 0
     if not np.any(nz):
         return 0.0

@@ -4,11 +4,9 @@ scored without external imagery."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import _check_count, _is_real, as_image, convolve
+from .core import _check_count, _check_real, as_image, convolve
 from .errors import InvalidInputError
 
 KERNEL_PRESETS = ("line-h", "line-d", "box", "l-curve")
@@ -68,9 +66,7 @@ def test_chart(size: int = 255) -> np.ndarray:
 def kernel_preset(name: str, size: int) -> np.ndarray:
     """Named blur kernel of odd ``size``: a horizontal or diagonal line, a
     box, or an L-shaped trajectory; uniform mass, unit sum."""
-    _check_count(size, 3, "synth: kernel size")
-    if size % 2 == 0:
-        raise InvalidInputError("synth: kernel size must be odd and >= 3")
+    _check_count(size, 3, "synth: kernel size", odd=True)
     if name not in KERNEL_PRESETS:
         raise InvalidInputError("synth: unknown kernel preset %r (choose from %s)" % (name, KERNEL_PRESETS))
     k = np.zeros((size, size))
@@ -94,10 +90,11 @@ def kernel_preset(name: str, size: int) -> np.ndarray:
 
 
 def synthesize(sharp, kernel, noise_sigma: float = 0.0, seed: int = 0) -> np.ndarray:
-    """Blur a sharp image and add seeded Gaussian noise; clipped to [0, 1]."""
+    """Blur a sharp image and add seeded Gaussian noise; clipped to [0, 1].
+    ``seed`` is an integer >= 0."""
     img = as_image(sharp)
-    if not (_is_real(noise_sigma) and math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise InvalidInputError("synth: noise sigma must be a finite number >= 0, got %r" % (noise_sigma,))
+    _check_real(noise_sigma, "synth: noise sigma", 0, closed=True)
+    _check_count(seed, 0, "synth: seed")
     blurred = convolve(img, kernel, mode="fft")
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)

@@ -8,13 +8,17 @@ whole-frame 2-D FFTs, the restorations' buffered IRLS core by plain
 allocating array expressions, the TV split's energy by its direct formula,
 and PNG row filtering by a per-byte encoder that follows the PNG
 specification.  ``align_kernel``, a kernel registration that only the tests
-use, lives here too, on the library's own alignment search.
+use, lives here too, on the library's own alignment search, and so does
+``check_kernel``, the full kernel invariant (the library's weight check plus
+a unit sum), which only the tests assert.
 """
 
 import struct
 import zlib
 
 import numpy as np
+
+KERNEL_SUM_TOL = 1e-10
 
 
 def condat_tv1d(y, lam):
@@ -303,6 +307,19 @@ def align_kernel(k_est, k_true):
 
     _, _, shift = _aligned_canvases(k_est, k_true)
     return _shifted(k_est, shift), shift
+
+
+def check_kernel(kernel):
+    """The kernel invariants: odd sides, finite non-negative weights (the
+    library's own check) and a sum within ``KERNEL_SUM_TOL`` of one."""
+    from salientdeblur.core import _check_kernel_weights
+    from salientdeblur.errors import InvalidInputError
+
+    k = np.asarray(kernel, dtype=np.float64)
+    _check_kernel_weights(k)
+    if abs(k.sum() - 1.0) > KERNEL_SUM_TOL:
+        raise InvalidInputError("kernel: weights must sum to 1 (got %.3e)" % k.sum())
+    return k
 
 
 def _paeth(a, b, c):

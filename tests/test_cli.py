@@ -6,6 +6,8 @@ import pytest
 import salientdeblur as sd
 from salientdeblur.cli import build_parser, main
 
+from oracles import check_kernel
+
 
 def run(argv):
     return main(argv)
@@ -165,6 +167,15 @@ class TestSynth:
         assert "noise sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        # printed a traceback and exited 1
+        out = tmp_path / "b.png"
+        rc = run(["synth", "--chart", "64", "--noise-sigma", "0.01", "--seed", "-1", "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: synth: seed" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestStructureCommand:
     def test_writes_three_maps(self, tmp_path, capsys):
@@ -259,7 +270,7 @@ class TestEndToEnd:
                   "--kernel-size", "7", "--crop", "16,16,96,96"])
         assert rc == 0
         kernel = sd.read_kernel(out)
-        sd.check_kernel(kernel)
+        check_kernel(kernel)
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -272,7 +283,7 @@ class TestEndToEnd:
         rc = run(["estimate-kernel", "--input", str(bpath), "--output", str(out),
                   "--config", str(cfg), "--inner-iters", "3"])
         assert rc == 0
-        sd.check_kernel(sd.read_kernel(out))
+        check_kernel(sd.read_kernel(out))
 
 
 def test_parser_builds():

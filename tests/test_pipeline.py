@@ -12,6 +12,8 @@ import salientdeblur as sd
 from salientdeblur import pipeline
 from salientdeblur.pipeline import parse_config_text
 
+from oracles import check_kernel
+
 
 class TestBuildSchedule:
     def test_small_kernel_single_level(self):
@@ -67,10 +69,12 @@ class TestBuildSchedule:
         ({"theta0": math.nan}, "theta0"), ({"theta0": 0.0}, "theta0"),
         ({"inner_iters": 0}, "inner_iters"), ({"inner_iters": 2.0}, "inner_iters"),
         ({"image_shape": (math.nan, 64)}, "height"), ({"image_shape": (64, 0)}, "width"),
+        ({"theta0": "1"}, "theta0"), ({"theta0": True}, "theta0"), ({"decay": "2"}, "decay"),
     ])
     def test_rejects_what_config_rejects(self, kwargs, name):
-        # the ranges of DeblurConfig.validate; nan levels and a raw
-        # ZeroDivisionError were the results before
+        # the ranges of DeblurConfig.validate; nan levels, a raw
+        # ZeroDivisionError or TypeError, and a bool theta0 taken as 1.0 were
+        # the results before
         args = {"image_shape": (64, 64), "kernel_size": 9, **kwargs}
         with pytest.raises(sd.InvalidInputError, match=name):
             sd.build_schedule(**args)
@@ -187,7 +191,7 @@ class TestPipeline:
         sd.estimate_blur_kernel(blurred, sd.DeblurConfig(kernel_size=7), progress=hook)
         assert kernels
         for k in kernels:
-            sd.check_kernel(k)
+            check_kernel(k)
         # within each level the threshold decays by exactly 1/decay per iteration
         by_level = {}
         for level, t in thresholds:
@@ -236,7 +240,7 @@ class TestPipeline:
         k_true = sd.kernel_preset("line-d", 9)
         blurred = sd.synthesize(chart, k_true, noise_sigma=0.01, seed=11)
         kernel, restored, grad_s = sd.deblur_blind(blurred, sd.DeblurConfig(kernel_size=9))
-        sd.check_kernel(kernel)
+        check_kernel(kernel)
         assert restored.shape == blurred.shape
         assert grad_s.gx.shape == blurred.shape
         assert sd.psnr(restored, chart) > sd.psnr(blurred, chart) + 3.0
@@ -247,14 +251,14 @@ class TestPipeline:
         blurred = sd.synthesize(color, sd.kernel_preset("line-h", 7), noise_sigma=0.005, seed=2)
         kernel, restored, _ = sd.deblur_blind(blurred, sd.DeblurConfig(kernel_size=11))
         assert restored.shape == color.shape
-        sd.check_kernel(kernel)
+        check_kernel(kernel)
 
     def test_crop_estimation_restores_full_frame(self):
         chart = sd.test_chart(128)
         blurred = sd.synthesize(chart, sd.kernel_preset("line-h", 7), noise_sigma=0.005, seed=9)
         kernel, restored, _ = sd.deblur_blind(blurred, sd.DeblurConfig(kernel_size=7), crop=(16, 16, 96, 96))
         assert restored.shape == blurred.shape
-        sd.check_kernel(kernel)
+        check_kernel(kernel)
 
     @pytest.mark.parametrize("color", [False, True], ids=["gray", "rgb"])
     @pytest.mark.parametrize("crop", [None, (8, 8, 48, 48)], ids=["full", "crop"])
@@ -286,6 +290,19 @@ class TestPipeline:
         chart = sd.test_chart(96)
         with pytest.raises(sd.InvalidInputError):
             sd.deblur_blind(chart, sd.DeblurConfig(kernel_size=7), crop=(90, 90, 50, 50))
+
+    @pytest.mark.parametrize("crop, name", [
+        ((1.5, 0, 48, 48), "x"), ((math.nan, 0, 48, 48), "x"), ((0, -1, 48, 48), "y"),
+        ((0, 0, 48.0, 48), "w"), ((0, 0, 48, 0), "h"), ((0, 0, 48, True), "h"),
+        ((0, 0, 48), "expected"), (48, "expected"),
+    ])
+    def test_crop_must_be_integers_in_range(self, crop, name):
+        # a fractional x was truncated and a NaN one ended in a raw ValueError
+        chart = sd.test_chart(64)
+        with pytest.raises(sd.InvalidInputError, match="crop: " + name):
+            pipeline.crop_region(chart, crop)
+        with pytest.raises(sd.InvalidInputError, match="crop: " + name):
+            sd.deblur_blind(chart, sd.DeblurConfig(kernel_size=7), crop=crop)
 
     def test_blind_entry_points_reject_out_of_range_samples(self):
         # an 8-bit chart left at 0..255 would otherwise give a wrong kernel without an error

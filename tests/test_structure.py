@@ -321,17 +321,19 @@ class TestInitThreshold:
     lambda img: sd.adaptive_tv_denoise(img, 1.0), sd.shock_filter, sd.r_map,
     lambda img: sd.select_salient_edges(img, 0.1), lambda img: sd.salient_mask(img, 0.1),
     lambda img: sd.poisson_reconstruct(sd.GradientField(img, np.zeros_like(img))),
+    lambda img: sd.init_threshold(sd.GradientField(np.zeros_like(img), img), img.size, 9),
     lambda img: sd.psnr(np.zeros_like(img), img),
     lambda img: sd.error_ratio(img, np.ones_like(img), np.zeros_like(img)),
     lambda img: sd.ssde(img[2:5, 2:5], np.full((3, 3), 1.0 / 9.0)),
     lambda img: evaluate_kernels(img[2:5, 2:5], np.full((3, 3), 1.0 / 9.0), np.full((16, 16), 0.5),
                                  np.full((16, 16), 0.5)),
 ], ids=["adaptive_tv_denoise", "shock_filter", "r_map", "select_salient_edges", "salient_mask",
-        "poisson_reconstruct", "psnr", "error_ratio", "ssde", "evaluate_kernels"])
+        "poisson_reconstruct", "init_threshold", "psnr", "error_ratio", "ssde", "evaluate_kernels"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stages_reject_non_finite_images(stage, bad):
-    # these returned NaN arrays, an all-zero field or a NaN score without
-    # complaint (the kernel scores read the image's centre as a kernel)
+    # these returned NaN arrays, an all-zero field, a NaN score or a threshold
+    # that skipped the NaN gradient without complaint (the kernel scores
+    # read the image's centre as a kernel)
     img = np.random.default_rng(9).random((8, 8))
     img[3, 4] = bad
     with pytest.raises(sd.InvalidInputError, match="finite"):

@@ -4,6 +4,8 @@ import pytest
 import salientdeblur as sd
 from salientdeblur.synth import KERNEL_PRESETS
 
+from oracles import check_kernel
+
 
 class TestChart:
     def test_shape_and_range(self):
@@ -50,7 +52,7 @@ class TestKernelPresets:
     @pytest.mark.parametrize("size", [5, 9, 15, 27])
     def test_presets_valid(self, name, size):
         k = sd.kernel_preset(name, size)
-        sd.check_kernel(k)
+        check_kernel(k)
         assert k.shape == (size, size)
 
     def test_line_d_is_diagonal(self):
@@ -102,6 +104,12 @@ class TestSynthesize:
         # nan passed both the < 0 and the > 0 test and added no noise
         with pytest.raises(sd.InvalidInputError, match="noise sigma"):
             sd.synthesize(sd.test_chart(64), sd.delta_kernel(3), noise_sigma=sigma)
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1, True, None, np.nan])
+    def test_bad_seed_rejected(self, seed):
+        # these ended in a raw TypeError or ValueError from the generator
+        with pytest.raises(sd.InvalidInputError, match="seed"):
+            sd.synthesize(sd.test_chart(64), sd.delta_kernel(3), noise_sigma=0.01, seed=seed)
 
     def test_output_clipped(self):
         chart = sd.test_chart(96)
