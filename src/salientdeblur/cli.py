@@ -36,17 +36,21 @@ from .structure import salient_mask
 
 # Config keys settable by a flag of the same name; kernel_size has its own.
 _CONFIG_FLAGS = {k: t for k, t in _CONFIG_TYPES.items() if k != "kernel_size"}
+# The keys each subcommand reads, and so offers as flags; config files take every key.
+_STRUCTURE_KEYS = ("theta0", "window", "threshold")
+_ESTIMATE_KEYS = tuple(k for k in _CONFIG_FLAGS if k != "lambda_final")
+_DECONV_KEYS = ("lambda_c", "lambda_final") + _STRUCTURE_KEYS  # tv reads lambda_c, adaptive the rest
 
 _DEFAULT_KERNEL_SIZE = 15
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
     parser.add_argument("--config", metavar="PATH", help="config file of 'key = value' lines")
     parser.add_argument("--kernel-size", type=int, metavar="N",
                         help="blur kernel side length (odd)")
     group = parser.add_argument_group("parameter overrides")
-    for name, typ in _CONFIG_FLAGS.items():
-        group.add_argument("--" + name.replace("_", "-"), type=typ, dest=name,
+    for name in keys:
+        group.add_argument("--" + name.replace("_", "-"), type=_CONFIG_FLAGS[name], dest=name,
                            help="override config key %r" % name)
 
 
@@ -220,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crop", metavar="X,Y,W,H", help="estimate the kernel on this region only")
     p.add_argument("--bit-depth", type=int, choices=(8, 16), default=8)
     p.add_argument("--verbose", action="store_true", help="log per-iteration progress")
-    _add_config_flags(p)
+    _add_config_flags(p, _CONFIG_FLAGS)
     p.set_defaults(handler=_cmd_deblur)
 
     p = sub.add_parser("estimate-kernel", help="blind kernel estimation only")
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="kernel text output path")
     p.add_argument("--crop", metavar="X,Y,W,H", help="estimate on this region only")
     p.add_argument("--verbose", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, _ESTIMATE_KEYS)
     p.set_defaults(handler=_cmd_estimate_kernel)
 
     p = sub.add_parser("deconv", help="non-blind deconvolution with a given kernel")
@@ -237,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="restored image path")
     p.add_argument("--method", choices=("tv", "adaptive"), default="tv")
     p.add_argument("--bit-depth", type=int, choices=(8, 16), default=8)
-    _add_config_flags(p)
+    _add_config_flags(p, _DECONV_KEYS)
     p.set_defaults(handler=_cmd_deconv)
 
     p = sub.add_parser("structure", help="write structure, mask and edge maps")
     p.add_argument("--input", required=True, help="input image")
     p.add_argument("--output", required=True, help="output path prefix")
-    _add_config_flags(p)
+    _add_config_flags(p, _STRUCTURE_KEYS)
     p.set_defaults(handler=_cmd_structure)
 
     p = sub.add_parser("synth", help="blur a sharp image and add seeded noise")
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a dataset directory of cases")
     p.add_argument("--input", required=True, help="dataset root directory")
     p.add_argument("--output", help="CSV report path")
-    _add_config_flags(p)
+    _add_config_flags(p, _ESTIMATE_KEYS)
     p.set_defaults(handler=_cmd_eval)
 
     return parser

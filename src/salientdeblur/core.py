@@ -427,6 +427,14 @@ def periodic_gradients(img: np.ndarray) -> GradientField:
     return GradientField(np.roll(a, -1, axis=1) - a, np.roll(a, -1, axis=0) - a)
 
 
+def _difference_spectra(shape) -> tuple:
+    """``periodic_gradients``' spectra on an (h, w) grid: conj(dx) row, conj(dy) column, |dx|^2 + |dy|^2 (new)."""
+    h, w = shape
+    dx = np.exp(2j * np.pi * np.fft.fftfreq(w)) - 1.0
+    dy = np.exp(2j * np.pi * np.fft.fftfreq(h)) - 1.0
+    return np.conj(dx)[None, :], np.conj(dy)[:, None], (np.abs(dx) ** 2)[None, :] + (np.abs(dy) ** 2)[:, None]
+
+
 def poisson_reconstruct(g: GradientField) -> np.ndarray:
     """Least-squares integration of a gradient field under periodic boundary.
 
@@ -437,12 +445,9 @@ def poisson_reconstruct(g: GradientField) -> np.ndarray:
     if gx.shape != gy.shape:
         raise InvalidInputError("poisson: gx and gy shapes differ")
     _check_finite("poisson: gradient field", gx, gy)
-    h, w = gx.shape
-    dx = np.exp(2j * np.pi * np.fft.fftfreq(w)) - 1.0
-    dy = np.exp(2j * np.pi * np.fft.fftfreq(h)) - 1.0
-    denom = (np.abs(dx) ** 2)[None, :] + (np.abs(dy) ** 2)[:, None]
+    conj_dx, conj_dy, denom = _difference_spectra(gx.shape)
     denom[0, 0] = 1.0
-    rhs = np.conj(dx)[None, :] * np.fft.fft2(gx) + np.conj(dy)[:, None] * np.fft.fft2(gy)
+    rhs = conj_dx * np.fft.fft2(gx) + conj_dy * np.fft.fft2(gy)
     rhs[0, 0] = 0.0
     out = np.real(np.fft.ifft2(rhs / denom))
     return out + (0.5 - out.mean())

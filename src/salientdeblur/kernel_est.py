@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GradientField, _check_count, _check_finite, _check_real, _pad_replicate, convolve, delta_kernel,
-                   gradients, periodic_gradients)
+from .core import (GradientField, _check_count, _check_finite, _check_real, _difference_spectra, _pad_replicate,
+                   convolve, delta_kernel, gradients, periodic_gradients)
 from .deconv import cg_solve
 from .errors import DegenerateStructureError, InvalidInputError, NumericalError
 
@@ -238,11 +238,7 @@ def l0_gradient_smooth(kernel, mu: float) -> np.ndarray:
     scale = np.sqrt(scale_sq)
     ry, rx = k.shape[0] // 2, k.shape[1] // 2
     x = np.pad(k / scale, ((ry, ry), (rx, rx)))
-    h, w = x.shape
-    dx = np.exp(2j * np.pi * np.fft.fftfreq(w)) - 1.0
-    dy = np.exp(2j * np.pi * np.fft.fftfreq(h)) - 1.0
-    dx2 = (np.abs(dx) ** 2)[None, :]
-    dy2 = (np.abs(dy) ** 2)[:, None]
+    conj_dx, conj_dy, d2 = _difference_spectra(x.shape)
     f_target = np.fft.fft2(x)
     beta = 2.0 * mu
     while beta <= _BETA_MAX:
@@ -250,8 +246,8 @@ def l0_gradient_smooth(kernel, mu: float) -> np.ndarray:
         keep = gx * gx + gy * gy >= mu / beta
         fh = np.fft.fft2(np.where(keep, gx, 0.0))
         fv = np.fft.fft2(np.where(keep, gy, 0.0))
-        numer = f_target + beta * (np.conj(dx)[None, :] * fh + np.conj(dy)[:, None] * fv)
-        x = np.real(np.fft.ifft2(numer / (1.0 + beta * (dx2 + dy2))))
+        numer = f_target + beta * (conj_dx * fh + conj_dy * fv)
+        x = np.real(np.fft.ifft2(numer / (1.0 + beta * d2)))
         beta *= 2.0
     out = scale * x[ry : ry + k.shape[0], rx : rx + k.shape[1]]
     if float(((out - k) ** 2).sum()) + mu * gradient_count(out) > mu * gradient_count(k):

@@ -42,8 +42,8 @@ class DeblurConfig:
     reference settings.  Salient edges are selected by gradient magnitude.
     Solver budgets, the kernel fit's alternation count ``KernelEstParams.itr``
     among them, are the defaults of the solvers that run them
-    (``KernelEstParams``, ``adaptive_tv_denoise``, ``shock_filter``) or, for
-    the restorations, constants of ``deconv``."""
+    (``KernelEstParams``, ``adaptive_tv_denoise``) or, for the restorations,
+    constants of ``deconv``; ``shock_filter`` runs one fixed step."""
 
     kernel_size: int
     theta0: float = 1.0

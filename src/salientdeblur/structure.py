@@ -170,46 +170,39 @@ def _minmod(c: np.ndarray, back: np.ndarray, ahead: np.ndarray, out: np.ndarray,
     return out
 
 
-def shock_filter(image, dt: float = 1.0, steps: int = 1) -> np.ndarray:
-    """Edge-enhancing shock evolution d I/dt = -sign(D I) ||grad I||.
+def shock_filter(image) -> np.ndarray:
+    """One step of the edge-enhancing shock evolution d I/dt = -sign(D I) ||grad I||, dt = 1.
 
     D is the second derivative along the gradient direction (central
     differences); the gradient magnitude uses minmod upwinding.  Output is
-    clamped to the input's min/max range each step.  Runs on kept buffers,
-    about 7 image planes above the input: the padded frame, the output and
-    five stencil terms.
+    clamped to the input's min/max range.  Runs on kept buffers, about 6
+    image planes above the input: the padded frame and five stencil terms,
+    one of which receives the output.
     """
     a = _channel(image, "shock_filter")
-    _check_real(dt, "structure: dt", 0, 1)
-    _check_count(steps, 0, "structure: steps")
-    lo, hi = a.min(), a.max()
-    out = a.copy()
-    h, w = a.shape
-    p = np.empty((h + 2, w + 2))
+    edge2 = np.empty(a.shape)  # the output, allocated first so it pins none of the planes freed on return
+    p = _pad_replicate(a, 1, 1)
     c, left, right, up, down = p[1:-1, 1:-1], p[1:-1, :-2], p[1:-1, 2:], p[:-2, 1:-1], p[2:, 1:-1]
     # The stencil terms are formed one at a time on kept buffers, in the
     # order of the plain expressions: ix = 0.5 (right - left),
     # iy = 0.5 (down - up), ixx = right - 2 c + left, iyy = down - 2 c + up,
     # ixy = 0.25 (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) and
     # edge2 = ix ix ixx + 2 ix iy ixy + iy iy iyy.
-    ix, iy, t, edge2, mag = (np.empty((h, w)) for _ in range(5))
-    for _ in range(steps):
-        _pad_replicate(out, 1, 1, out=p)
-        np.multiply(0.5, np.subtract(right, left, out=ix), out=ix)
-        np.multiply(0.5, np.subtract(down, up, out=iy), out=iy)
-        ixx = np.add(np.subtract(right, np.multiply(2.0, c, out=t), out=t), left, out=t)
-        np.multiply(np.multiply(ix, ix, out=edge2), ixx, out=edge2)
-        ixy = np.subtract(p[2:, 2:], p[2:, :-2], out=t)
-        np.multiply(0.25, np.add(np.subtract(ixy, p[:-2, 2:], out=t), p[:-2, :-2], out=t), out=t)
-        cross = np.multiply(np.multiply(np.multiply(2.0, ix, out=ix), iy, out=ix), ixy, out=ix)
-        np.add(edge2, cross, out=edge2)
-        iyy = np.add(np.subtract(down, np.multiply(2.0, c, out=t), out=t), up, out=t)
-        np.add(edge2, np.multiply(np.multiply(iy, iy, out=iy), iyy, out=iy), out=edge2)
-        # mag = hypot(minmod(c - left, right - c), minmod(c - up, down - c))
-        np.hypot(_minmod(c, left, right, ix, iy, t), _minmod(c, up, down, mag, iy, t), out=mag)
-        speed = np.multiply(np.multiply(dt, np.sign(edge2, out=edge2), out=edge2), mag, out=edge2)
-        np.clip(np.subtract(out, speed, out=out), lo, hi, out=out)
-    return out
+    ix, iy, t, mag = (np.empty(a.shape) for _ in range(4))
+    np.multiply(0.5, np.subtract(right, left, out=ix), out=ix)
+    np.multiply(0.5, np.subtract(down, up, out=iy), out=iy)
+    ixx = np.add(np.subtract(right, np.multiply(2.0, c, out=t), out=t), left, out=t)
+    np.multiply(np.multiply(ix, ix, out=edge2), ixx, out=edge2)
+    ixy = np.subtract(p[2:, 2:], p[2:, :-2], out=t)
+    np.multiply(0.25, np.add(np.subtract(ixy, p[:-2, 2:], out=t), p[:-2, :-2], out=t), out=t)
+    cross = np.multiply(np.multiply(np.multiply(2.0, ix, out=ix), iy, out=ix), ixy, out=ix)
+    np.add(edge2, cross, out=edge2)
+    iyy = np.add(np.subtract(down, np.multiply(2.0, c, out=t), out=t), up, out=t)
+    np.add(edge2, np.multiply(np.multiply(iy, iy, out=iy), iyy, out=iy), out=edge2)
+    # mag = hypot(minmod(c - left, right - c), minmod(c - up, down - c))
+    np.hypot(_minmod(c, left, right, ix, iy, t), _minmod(c, up, down, mag, iy, t), out=mag)
+    speed = np.multiply(np.sign(edge2, out=edge2), mag, out=edge2)
+    return np.clip(np.subtract(a, speed, out=edge2), a.min(), a.max(), out=edge2)
 
 
 def _mask(g: GradientField, threshold: float) -> np.ndarray:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _check_count, _check_real, as_image, convolve
+from .core import _check_count, _check_kernel_weights, _check_real, as_image, convolve
 from .errors import InvalidInputError
 
 KERNEL_PRESETS = ("line-h", "line-d", "box", "l-curve")
@@ -91,8 +91,9 @@ def kernel_preset(name: str, size: int) -> np.ndarray:
 
 def synthesize(sharp, kernel, noise_sigma: float = 0.0, seed: int = 0) -> np.ndarray:
     """Blur a sharp image and add seeded Gaussian noise; clipped to [0, 1].
-    ``seed`` is an integer >= 0."""
+    The kernel's weights are non-negative; ``seed`` is an integer >= 0."""
     img = as_image(sharp)
+    _check_kernel_weights(np.asarray(kernel, dtype=np.float64))
     _check_real(noise_sigma, "synth: noise sigma", 0, closed=True)
     _check_count(seed, 0, "synth: seed")
     blurred = convolve(img, kernel, mode="fft")

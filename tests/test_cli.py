@@ -1,3 +1,4 @@
+import argparse
 from dataclasses import fields
 
 import numpy as np
@@ -48,6 +49,96 @@ class TestHelp:
         with pytest.raises(SystemExit) as info:
             run([])
         assert info.value.code == 2
+
+
+_OVERRIDES = {f.name for f in fields(sd.DeblurConfig)} - {"kernel_size"}  # --kernel-size is on every command
+
+
+def _offered(command) -> set:
+    """The config fields a subcommand takes an override flag for."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in subparsers.choices[command]._actions} & _OVERRIDES
+
+
+def _config_reads(monkeypatch, argv) -> set:
+    """The config fields one successful run reads, outside ``DeblurConfig.validate``."""
+    reads, validating = set(), []
+    validate = sd.DeblurConfig.validate
+
+    def recording_validate(self):
+        validating.append(True)
+        try:
+            return validate(self)
+        finally:
+            validating.pop()
+
+    def recording_getattribute(self, name):
+        if name in _OVERRIDES and not validating:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+    with monkeypatch.context() as m:
+        m.setattr(sd.DeblurConfig, "validate", recording_validate)
+        m.setattr(sd.DeblurConfig, "__getattribute__", recording_getattribute)
+        assert run(argv) == 0
+    return reads
+
+
+@pytest.fixture(scope="module")
+def small_case(tmp_path_factory):
+    """A dataset holding one 64² case blurred by a 5² kernel."""
+    root = tmp_path_factory.mktemp("small")
+    case = root / "ds" / "case"
+    case.mkdir(parents=True)
+    sharp, kernel = sd.test_chart(64), sd.kernel_preset("line-d", 5)
+    sd.write_image(case / "blurred.png", sd.synthesize(sharp, kernel, noise_sigma=0.005, seed=3), bit_depth=16)
+    sd.write_image(case / "sharp.png", sharp, bit_depth=16)
+    sd.write_kernel(case / "kernel_true.txt", kernel)
+    return root
+
+
+@pytest.mark.parametrize("command", ["deblur", "estimate-kernel", "eval", "deconv", "structure"])
+def test_override_flags_are_the_fields_the_command_reads(command, small_case, monkeypatch, capsys):
+    # a field read without its flag, or a flag whose field is never read, fails
+    case = small_case / "ds" / "case"
+    image, kernel, out = str(case / "blurred.png"), str(case / "kernel_true.txt"), str(small_case / "out")
+    runs = {
+        "deblur": [["--input", image, "--output", out + ".png", "--kernel-size", "5"]],
+        "estimate-kernel": [["--input", image, "--output", out + ".txt", "--kernel-size", "5"]],
+        "eval": [["--input", str(small_case / "ds"), "--kernel-size", "5"]],
+        "deconv": [["--input", image, "--kernel", kernel, "--output", out + ".png", "--method", method]
+                   for method in ("tv", "adaptive")],
+        "structure": [["--input", image, "--output", out]],
+    }[command]
+    reads = set()
+    for argv in runs:
+        reads |= _config_reads(monkeypatch, [command] + argv)
+    assert _offered(command) == reads
+
+
+_REQUIRED = {
+    "estimate-kernel": ["--input", "b.png", "--output", "k.txt"],
+    "eval": ["--input", "ds"],
+    "deconv": ["--input", "b.png", "--kernel", "k.txt", "--output", "r.png"],
+    "structure": ["--input", "b.png", "--output", "s"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("estimate-kernel", "--lambda-final"),
+    ("eval", "--lambda-final"),
+    ("deconv", "--gamma"), ("deconv", "--alpha"), ("deconv", "--inner-iters"), ("deconv", "--decay"),
+    ("deconv", "--mu"),
+    ("structure", "--lambda-c"), ("structure", "--lambda-final"), ("structure", "--gamma"),
+    ("structure", "--alpha"), ("structure", "--inner-iters"), ("structure", "--decay"), ("structure", "--mu"),
+])
+def test_unread_override_is_usage_error(command, flag, capsys):
+    # these were parsed and range-checked, and then the command never read them
+    with pytest.raises(SystemExit) as info:
+        run([command] + _REQUIRED[command] + [flag, "3"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: %s" % flag in err and "Traceback" not in err
 
 
 class TestErrors:
@@ -165,6 +256,15 @@ class TestSynth:
         rc = run(["synth", "--chart", "64", "--noise-sigma", sigma, "--output", str(out)])
         assert rc == 2
         assert "noise sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_kernel_weight_exit_2(self, tmp_path, capsys):
+        # wrote a sharpened image with exit 0
+        kpath, out = tmp_path / "k.txt", tmp_path / "b.png"
+        kpath.write_text("3 3\n0 0 0\n-1 3 0\n0 0 0\n")
+        rc = run(["synth", "--chart", "64", "--kernel", str(kpath), "--output", str(out)])
+        assert rc == 2
+        assert "error: kernel: weights must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):

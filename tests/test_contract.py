@@ -20,7 +20,6 @@ SCALARS = [
     ("adaptive_deconv-lambda", "lambda", lambda v: sd.adaptive_deconv(_IMG, _K, _G, v), -1.0),
     ("adaptive_tv_denoise-theta", "theta", lambda v: sd.adaptive_tv_denoise(_IMG, v), 0.0),
     ("adaptive_tv_denoise-tol", "tol", lambda v: sd.adaptive_tv_denoise(_IMG, 0.5, tol=v), -1e-3),
-    ("shock_filter-dt", "dt", lambda v: sd.shock_filter(_IMG, dt=v), 1.5),
     ("salient_mask-threshold", "threshold", lambda v: sd.salient_mask(_IMG, v), -0.1),
     ("select_salient_edges-threshold", "threshold", lambda v: sd.select_salient_edges(_IMG, v), -0.1),
     ("KernelEstParams-gamma", "gamma", lambda v: sd.KernelEstParams(gamma=v), -0.01),
@@ -46,5 +45,5 @@ def test_scalar_contract(name, call, out_of_range, bad):
 @pytest.mark.parametrize("name, call", [s[1:3] for s in SCALARS], ids=[s[0] for s in SCALARS])
 def test_accepts_a_value_in_range(name, call):
     # so each rejection above is the named value's, not the call's
-    call({"factor": 1.0, "lambda": 0.01, "theta": 0.5, "tol": 0.0, "dt": 1.0, "threshold": 0.0,
+    call({"factor": 1.0, "lambda": 0.01, "theta": 0.5, "tol": 0.0, "threshold": 0.0,
           "gamma": 0.0, "mu": 0.0, "alpha": 1.0, "theta0": 1.0, "decay": 1.1, "noise sigma": 0.0}[name])

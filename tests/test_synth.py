@@ -111,6 +111,13 @@ class TestSynthesize:
         with pytest.raises(sd.InvalidInputError, match="seed"):
             sd.synthesize(sd.test_chart(64), sd.delta_kernel(3), noise_sigma=0.01, seed=seed)
 
+    def test_negative_weight_rejected(self):
+        # a kernel with a negative weight sharpened the image without complaint
+        k = np.zeros((3, 3))
+        k[1] = (-0.5, 1.5, 0.0)
+        with pytest.raises(sd.InvalidInputError, match="non-negative"):
+            sd.synthesize(sd.test_chart(64), k)
+
     def test_output_clipped(self):
         chart = sd.test_chart(96)
         out = sd.synthesize(chart, sd.delta_kernel(3), noise_sigma=0.5, seed=0)
