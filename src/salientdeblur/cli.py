@@ -42,6 +42,7 @@ _ESTIMATE_KEYS = tuple(k for k in _CONFIG_FLAGS if k != "lambda_final")
 _DECONV_KEYS = ("lambda_c", "lambda_final") + _STRUCTURE_KEYS  # tv reads lambda_c, adaptive the rest
 
 _DEFAULT_KERNEL_SIZE = 15
+_DEFAULT_PRESET = "line-d"
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
@@ -64,14 +65,15 @@ def _build_config(args, kernel_size_required: bool = True) -> DeblurConfig:
                 raise InvalidInputError("config: --kernel-size is required without a config file")
             kernel_size = _DEFAULT_KERNEL_SIZE
         cfg = DeblurConfig(kernel_size=kernel_size)
-    overrides = {}
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = _overrides(args)
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg.validate()
+
+
+def _overrides(args) -> dict:
+    """The config keys given as flags, with their values."""
+    return {name: getattr(args, name) for name in _CONFIG_FLAGS if getattr(args, name, None) is not None}
 
 
 def _parse_crop(spec: str | None):
@@ -166,9 +168,11 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.input:
+    if args.kernel and (args.preset is not None or args.kernel_size is not None):
+        raise InvalidInputError("synth: --kernel takes the kernel from its file; drop --preset and --kernel-size")
+    if args.input is not None:
         sharp = fileio.read_image(args.input)
-    elif args.chart:
+    elif args.chart is not None:
         sharp = synth.test_chart(args.chart)
     else:
         raise InvalidInputError("synth: provide --input or --chart")
@@ -179,8 +183,8 @@ def _cmd_synth(args) -> int:
             raise InvalidInputError("synth: kernel file has no positive mass")
         kernel = kernel / total
     else:
-        size = args.kernel_size or _DEFAULT_KERNEL_SIZE
-        kernel = synth.kernel_preset(args.preset, size)
+        size = _DEFAULT_KERNEL_SIZE if args.kernel_size is None else args.kernel_size
+        kernel = synth.kernel_preset(args.preset or _DEFAULT_PRESET, size)
     blurred = synth.synthesize(sharp, kernel, noise_sigma=args.noise_sigma, seed=args.seed)
     fileio.write_image(args.output, blurred, bit_depth=args.bit_depth)
     written = [str(args.output)]
@@ -195,9 +199,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = None
-    if args.config or getattr(args, "kernel_size", None) is not None:
-        cfg = _build_config(args)
+    # without --config or --kernel-size, each case runs the default config at its true kernel's size
+    configured = args.config or args.kernel_size is not None
+    unread = [] if configured else ["--" + name.replace("_", "-") for name in _overrides(args)]
+    if unread:
+        raise InvalidInputError("eval: override flags need --config or --kernel-size: %s" % ", ".join(unread))
+    cfg = _build_config(args) if configured else None
     results, table = metrics.evaluate_directory(args.input, csv_path=args.output, config=cfg)
     for name, rep in results:
         print("%s: ssde=%.6g psnr=%.2f error_ratio=%.4g shift=%s"
@@ -251,12 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_structure)
 
     p = sub.add_parser("synth", help="blur a sharp image and add seeded noise")
-    p.add_argument("--input", help="sharp source image")
-    p.add_argument("--chart", type=int, metavar="SIZE", help="use the built-in test chart")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", help="sharp source image")
+    source.add_argument("--chart", type=int, metavar="SIZE", help="use the built-in test chart")
     p.add_argument("--kernel", help="kernel text file to blur with")
-    p.add_argument("--preset", choices=synth.KERNEL_PRESETS, default="line-d",
-                   help="kernel preset when no --kernel file is given")
-    p.add_argument("--kernel-size", type=int, help="preset kernel size (odd)")
+    p.add_argument("--preset", choices=synth.KERNEL_PRESETS,
+                   help="kernel preset when no --kernel file is given (default: %s)" % _DEFAULT_PRESET)
+    p.add_argument("--kernel-size", type=int,
+                   help="preset kernel size, odd (default: %d)" % _DEFAULT_KERNEL_SIZE)
     p.add_argument("--noise-sigma", type=float, default=0.0, help="Gaussian noise level")
     p.add_argument("--seed", type=int, default=0, help="noise seed (reproducible)")
     p.add_argument("--output", required=True, help="blurred image path")

@@ -3,8 +3,10 @@
 Builds a coarse-to-fine pyramid sized by the blur kernel, then per level
 repeats: extract salient structure, estimate the kernel, restore an interim
 latent image, and relax the structure threshold and smoothing strength.  The
-kernel estimated at each level seeds the next finer one; the final level's
-kernel and structure drive the full-resolution adaptive restoration.
+kernel estimated at each level seeds the next finer one.  The final kernel,
+and the structure that the final threshold and smoothing strength extract
+from a full-frame latent under it, drive the full-resolution adaptive
+restoration.
 """
 
 from __future__ import annotations
@@ -179,7 +181,6 @@ class PyramidResult:
     """Outcome of the multi-scale kernel estimation."""
 
     kernel: np.ndarray
-    grad_s: object          # GradientField at full estimation resolution
     threshold: float        # final (decayed) edge threshold
     theta: float            # final (decayed) smoothing strength
 
@@ -254,7 +255,6 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
     kernel = _initial_kernel(schedule.levels[0].kernel_size)
     latent = None
     t = config.threshold
-    grad_s = None
     for li, level in enumerate(schedule.levels):
         blurred = resample(gray, level.scale) if level.scale != 1.0 else gray
         if latent is None:
@@ -279,7 +279,7 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
             theta = theta / config.decay
             if progress is not None:
                 progress(li, it, kernel, t)
-    return PyramidResult(kernel=kernel, grad_s=grad_s, threshold=t, theta=theta)
+    return PyramidResult(kernel=kernel, threshold=t, theta=theta)
 
 
 def structure_pass(image, config: DeblurConfig, theta: float | None = None,
@@ -309,10 +309,10 @@ def crop_region(img, crop) -> np.ndarray:
 def deblur_blind(image, config: DeblurConfig, crop=None, progress=None, *, out=None):
     """End-to-end blind deblurring.
 
-    Estimates the kernel from the (optionally cropped) grayscale image, then
-    restores the full image per channel with structure-adaptive weights.
-    The whole image's samples must lie in [0, 1].  ``crop`` is (x, y, w, h)
-    in pixels.  The restored image goes into ``out`` when given, a writeable
+    Estimates the kernel from the grayscale image, or from its ``crop``
+    region, (x, y, w, h) in pixels, then restores the full image per channel
+    with structure-adaptive weights.  The whole image's samples must lie in
+    [0, 1].  The restored image goes into ``out`` when given, a writeable
     float64 array of the image's shape that may be the image itself (read
     for the last time by the restoration).  Returns (kernel, restored,
     grad_s).
@@ -321,21 +321,15 @@ def deblur_blind(image, config: DeblurConfig, crop=None, progress=None, *, out=N
     img = np.asarray(image, dtype=np.float64)
     _unit_image(img)
     _check_out(out, img.shape)
-    if crop is not None:
-        result = estimate_blur_kernel(crop_region(img, crop), config, progress=progress)
-        kernel, theta, threshold = result.kernel, result.theta, result.threshold
-        del result  # its crop-size structure field is not read again
-        # The crop's structure field does not cover the full frame; rebuild it
-        # at the final (t, theta) from a full-frame latent, one closed-form
-        # solve under a quadratic gradient prior whose ringing and noise the
-        # structure step removes.  Neither the gray frame nor the latent is
-        # held through the final restoration.
-        latent = _l2_latent(to_grayscale(img), kernel)
-        _, _, _, grad_s = structure_pass(np.clip(latent, 0.0, 1.0, out=latent), config,
-                                         theta=theta, threshold=threshold)
-        del latent
-    else:
-        result = estimate_blur_kernel(img, config, progress=progress)
-        kernel, grad_s = result.kernel, result.grad_s
-    restored = adaptive_deconv(img, kernel, grad_s, config.lambda_final, out=out)
-    return kernel, np.clip(restored, 0.0, 1.0, out=restored), grad_s
+    region = img if crop is None else crop_region(img, crop)
+    result = estimate_blur_kernel(region, config, progress=progress)
+    # The structure field comes from a full-frame latent at the final
+    # (t, theta): one closed-form solve under a quadratic gradient prior whose
+    # ringing and noise the structure step removes.  Neither the gray frame
+    # nor the latent is held through the final restoration.
+    latent = _l2_latent(to_grayscale(img), result.kernel)
+    _, _, _, grad_s = structure_pass(np.clip(latent, 0.0, 1.0, out=latent), config,
+                                     theta=result.theta, threshold=result.threshold)
+    del latent
+    restored = adaptive_deconv(img, result.kernel, grad_s, config.lambda_final, out=out)
+    return result.kernel, np.clip(restored, 0.0, 1.0, out=restored), grad_s

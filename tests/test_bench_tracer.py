@@ -54,7 +54,7 @@ def test_traced_deblur_reports_levels_and_cg_budgets(tmp_path):
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.dump())
     assert metrics["pipeline.levels"] == 1
-    assert metrics["structure.tv_calls"] == 2
+    assert metrics["structure.tv_calls"] == 3
     assert metrics["kernel_est.cg_budget"] > 0 and metrics["deconv.cg_budget"] > 0
     assert metrics["deconv.final_cg_iters"] > 0
     assert metrics["core.fft_calls"] > 0

@@ -141,6 +141,19 @@ def test_unread_override_is_usage_error(command, flag, capsys):
     assert "unrecognized arguments: %s" % flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [["--mu", "0.02"], ["--theta0", "-5", "--gamma", "1e9", "--window", "4"],
+                                   ["--threshold", "0.1"]], ids=["mu", "three", "threshold"])
+def test_eval_override_without_config_exit_2(flags, small_case, tmp_path, capsys):
+    # each case ran its default config: the flags were dropped unread, even out-of-range ones
+    csv_path = tmp_path / "report.csv"
+    rc = run(["eval", "--input", str(small_case / "ds"), "--output", str(csv_path)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: eval: override flags need --config or --kernel-size: " in err and "Traceback" not in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not csv_path.exists()
+
+
 class TestErrors:
     def test_missing_input_exit_2_names_path(self, tmp_path, capsys):
         missing = tmp_path / "absent.png"
@@ -244,6 +257,36 @@ class TestSynth:
         sd.write_kernel(kpath, sd.kernel_preset("box", 5))
         rc = run(["synth", "--chart", "72", "--kernel", str(kpath), "--output", str(tmp_path / "b.png")])
         assert rc == 0
+
+    @pytest.mark.parametrize("extra", [["--preset", "box"], ["--kernel-size", "9"], ["--preset", "line-d"]])
+    def test_kernel_file_with_preset_flag_exit_2(self, tmp_path, capsys, extra):
+        # the preset flags were dropped: the output equalled the kernel file's alone
+        kpath, out = tmp_path / "k.txt", tmp_path / "b.png"
+        sd.write_kernel(kpath, sd.kernel_preset("box", 5))
+        rc = run(["synth", "--chart", "64", "--kernel", str(kpath), "--output", str(out)] + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: synth: --kernel takes the kernel from its file" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_input_and_chart_exit_2(self, tmp_path, capsys):
+        # --chart was dropped: the output had the input's size
+        src, out = tmp_path / "s.png", tmp_path / "b.png"
+        sd.write_image(src, sd.test_chart(64))
+        with pytest.raises(SystemExit) as info:
+            run(["synth", "--input", str(src), "--chart", "128", "--output", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "not allowed with argument" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_kernel_size_exit_2(self, tmp_path, capsys):
+        # 0 fell back to the default size 15
+        out = tmp_path / "b.png"
+        rc = run(["synth", "--chart", "64", "--kernel-size", "0", "--output", str(out)])
+        assert rc == 2
+        assert "kernel size" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_source(self, tmp_path):
         rc = run(["synth", "--output", str(tmp_path / "b.png")])

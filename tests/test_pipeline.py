@@ -224,7 +224,7 @@ class TestPipeline:
         unskipped = sd.estimate_blur_kernel(blurred, cfg, progress=unskip)
         assert len(calls) == levels * cfg.inner_iters
         assert np.array_equal(skipped.kernel, unskipped.kernel)
-        assert np.array_equal(skipped.grad_s.gx, unskipped.grad_s.gx)
+        assert (skipped.threshold, skipped.theta) == (unskipped.threshold, unskipped.theta)
 
     def test_deterministic_end_to_end(self):
         chart = sd.test_chart(96)
@@ -259,6 +259,17 @@ class TestPipeline:
         kernel, restored, _ = sd.deblur_blind(blurred, sd.DeblurConfig(kernel_size=7), crop=(16, 16, 96, 96))
         assert restored.shape == blurred.shape
         check_kernel(kernel)
+
+    @pytest.mark.parametrize("color", [False, True], ids=["gray", "rgb"])
+    def test_whole_frame_crop_equals_no_crop_bitwise(self, color):
+        chart = sd.test_chart(80)[:64]
+        sharp = np.dstack([chart, np.roll(chart, 3, axis=0), np.roll(chart, 5, axis=1)]) if color else chart
+        blurred = sd.synthesize(sharp, sd.kernel_preset("line-h", 5), noise_sigma=0.005, seed=4)
+        cfg = sd.DeblurConfig(kernel_size=5)
+        cropped = sd.deblur_blind(blurred, cfg, crop=(0, 0, 80, 64))
+        whole = sd.deblur_blind(blurred, cfg)
+        assert np.array_equal(cropped[0], whole[0]) and np.array_equal(cropped[1], whole[1])
+        assert np.array_equal(cropped[2].gx, whole[2].gx) and np.array_equal(cropped[2].gy, whole[2].gy)
 
     @pytest.mark.parametrize("color", [False, True], ids=["gray", "rgb"])
     @pytest.mark.parametrize("crop", [None, (8, 8, 48, 48)], ids=["full", "crop"])

@@ -6,13 +6,13 @@ by one of the benchmark's kernels (``perfbench.inputs.kernel`` and
 ``default_rng([1, image side, 100 * sigma])`` and clipped to [0, 1].  Three
 modes restore it:
 
-* ``crop``: the crop path of ``deblur_blind`` with the true kernel.  The
-  whole frame is the crop, and the estimate's kernel is swapped for the true
-  one while its final threshold and smoothing strength are kept, so the
-  final restoration runs on the structure of the crop path's full-frame
-  latent.
-* ``blind``: ``deblur_blind`` without a crop (the pyramid's structure and
-  the estimated kernel).
+* ``crop``: ``deblur_blind`` with the true kernel.  The estimate's kernel
+  is swapped for the true one while its final threshold and smoothing
+  strength are kept, so the final restoration runs on the structure of the
+  full-frame latent under the true kernel.  The mode keeps its name so that
+  runs of older trees stay comparable.
+* ``blind``: ``deblur_blind`` as it runs (the estimated kernel and the
+  structure of the full-frame latent under it).
 * ``deconv``: ``deconv --method adaptive`` with the true kernel (the
   structure of the blurred input).
 
@@ -90,7 +90,7 @@ def run_cell(size: int, preset: str, ksize: int, sigma: float, modes) -> dict:
                 restored = sd.adaptive_deconv(blurred, k_true, grad_s, config.lambda_final)
             elif mode == "crop":
                 pipeline.estimate_blur_kernel = with_true_kernel
-                _, restored, _ = sd.deblur_blind(blurred, config, crop=(0, 0, size, size))
+                _, restored, _ = sd.deblur_blind(blurred, config)
             else:
                 pipeline.estimate_blur_kernel = estimated
                 k_est, restored, _ = sd.deblur_blind(blurred, config)

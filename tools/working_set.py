@@ -8,13 +8,13 @@ fills numpy's FFT plan cache, which is not part of a stage's working set.
 The sample is ``synth.test_chart(size)`` blurred by the ``l-curve`` preset
 of the given kernel size; the RGB input stacks it with two shifted copies,
 and the structure field of the final restoration comes from
-``structure_pass`` at the default config, as on the crop path.  Stages:
+``structure_pass`` at the default config, as in ``deblur_blind``.  Stages:
 
 * ``r_map``, ``adaptive_tv_denoise``, ``shock_filter``: the structure
   stages on the gray frame (the TV split at the pyramid's first theta,
   weighted by ``smooth_weight(r_map(...))``);
 * ``structure_pass``: the three above plus edge selection;
-* ``l2_latent``: the crop path's full-frame latent;
+* ``l2_latent``: the blind pipeline's full-frame latent;
 * ``tv_deconv``: the interim restoration, gray;
 * ``adaptive_deconv``: the final restoration, gray and RGB;
 * ``adaptive_deconv-rgb-out``: the RGB one restoring into its input with
