@@ -45,6 +45,7 @@ from .pipeline import (
     deblur_blind,
     estimate_blur_kernel,
     load_config,
+    restore,
 )
 from .structure import (
     adaptive_tv_denoise,
@@ -70,7 +71,7 @@ __all__ = [
     "l0_gradient_smooth", "mu_schedule", "project_kernel",
     "EvalReport", "error_ratio", "evaluate_directory", "psnr", "ssde",
     "DeblurConfig", "ScaleLevel", "ScaleSchedule", "build_schedule", "deblur_blind",
-    "estimate_blur_kernel", "load_config",
+    "estimate_blur_kernel", "load_config", "restore",
     "adaptive_tv_denoise", "init_threshold", "r_map", "salient_mask", "select_salient_edges",
     "shock_filter", "smooth_weight",
     "kernel_preset", "synthesize", "test_chart",

@@ -3,7 +3,11 @@
 Subcommands: ``deblur`` (blind end to end), ``estimate-kernel`` (blind
 kernel only), ``deconv`` (non-blind with a supplied kernel), ``structure``
 (salient-structure maps), ``synth`` (synthetic blur generator) and ``eval``
-(batch scoring of a dataset directory).
+(batch scoring of a dataset directory).  ``deblur`` and ``deconv --method
+adaptive`` restore through one ``pipeline.restore``, which takes the
+restoration's structure from a latent under the kernel: the former at the
+kernel estimate's final threshold and smoothing strength, the latter at the
+config's.
 
 Exit codes: 0 success, 1 processing failure (textureless input, numerical
 breakdown), 2 usage or I/O problems.
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import fileio, metrics, synth
 from .core import poisson_reconstruct
-from .deconv import adaptive_deconv, tv_deconv
+from .deconv import tv_deconv
 from .errors import DeblurError, InvalidInputError
 from .kernel_est import project_kernel
 from .pipeline import (
@@ -30,6 +34,7 @@ from .pipeline import (
     deblur_blind,
     estimate_blur_kernel,
     load_config,
+    restore,
     structure_pass,
 )
 from .structure import salient_mask
@@ -143,10 +148,10 @@ def _cmd_deconv(args) -> int:
     image = fileio.read_image(args.input)
     if args.method == "tv":
         restored = tv_deconv(image, kernel, cfg.lambda_c)
+        np.clip(restored, 0.0, 1.0, out=restored)
     else:
-        _, _, _, grad_s = structure_pass(image, cfg)
-        restored = adaptive_deconv(image, kernel, grad_s, cfg.lambda_final, out=image)  # image not read again
-    fileio.write_image(args.output, np.clip(restored, 0.0, 1.0, out=restored), bit_depth=args.bit_depth)
+        restored, _ = restore(image, kernel, cfg, out=image)  # image not read again
+    fileio.write_image(args.output, restored, bit_depth=args.bit_depth)
     print("deconv: wrote %s" % args.output)
     return 0
 

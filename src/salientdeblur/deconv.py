@@ -32,9 +32,10 @@ restoration's preconditioner adds one more.  An RGB final restoration also
 holds its result, about 15 planes at its peak, or 12 when the result goes
 into the image itself (``out=``), as the command line's restorations do.
 
-The blind pipeline takes the final structure's full-frame latent from
-``_l2_latent``: one exact Fourier-domain solve under a quadratic gradient
-prior on a replicate-padded periodic frame, with no CG at all.
+``pipeline.restore`` takes the final restoration's structure from a
+full-frame latent by ``_l2_latent``: one exact Fourier-domain solve under
+a quadratic gradient prior on a replicate-padded periodic frame, with no
+CG at all.
 """
 
 from __future__ import annotations

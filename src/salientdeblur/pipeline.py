@@ -3,10 +3,14 @@
 Builds a coarse-to-fine pyramid sized by the blur kernel, then per level
 repeats: extract salient structure, estimate the kernel, restore an interim
 latent image, and relax the structure threshold and smoothing strength.  The
-kernel estimated at each level seeds the next finer one.  The final kernel,
-and the structure that the final threshold and smoothing strength extract
-from a full-frame latent under it, drive the full-resolution adaptive
-restoration.
+kernel estimated at each level seeds the next finer one.
+
+``restore`` is the one restoration from a kernel, estimated or known: the
+structure that weights the full-resolution adaptive restoration is
+extracted from a full-frame latent under the kernel, never from the
+blurred input, whose edges are the blur's.  ``deblur_blind`` runs it at the
+pyramid's final threshold and smoothing strength, the ``deconv --method
+adaptive`` command at the config's.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (_check_count, _check_real, _shift_zero, as_image, delta_kernel, gradients, resample, resize,
-                   to_grayscale)
+from .core import (_check_count, _check_kernel_weights, _check_real, _shift_zero, as_image, delta_kernel, gradients,
+                   resample, resize, to_grayscale)
 from .deconv import _check_out, _l2_latent, adaptive_deconv, tv_deconv
 from .errors import InvalidInputError, TexturelessImageError
 from .kernel_est import KernelEstParams, estimate_kernel, mu_schedule, project_kernel
@@ -306,16 +310,52 @@ def crop_region(img, crop) -> np.ndarray:
     return img[y : y + ch, x : x + cw]
 
 
+def restore(image, kernel, config: DeblurConfig, *, theta: float | None = None,
+            threshold: float | None = None, out=None):
+    """Structure-adaptive restoration of an image under a given kernel.
+
+    The structure field comes from a full-frame latent under the kernel:
+    one closed-form solve under a quadratic gradient prior (``_l2_latent``),
+    clipped to [0, 1], whose ringing and noise the structure step removes.
+    ``structure_pass`` runs on it at ``theta`` and ``threshold``, by default
+    the config's ``theta0`` and ``threshold``; ``adaptive_deconv`` then
+    restores the image per channel at ``config.lambda_final``.
+
+    The image's samples must lie in [0, 1].  The kernel must be finite,
+    non-negative, odd-sided, no larger than the image and of positive sum.
+    The restored image goes into ``out`` when given, a writeable float64
+    array of the image's shape that may be the image itself.  Returns the
+    restored image, clipped to [0, 1], and the structure field.  Neither the
+    gray frame nor the latent is held through the restoration.
+    """
+    config.validate()
+    img = np.asarray(image, dtype=np.float64)
+    _unit_image(img)
+    _check_out(out, img.shape)
+    k = np.asarray(kernel, dtype=np.float64)
+    _check_kernel_weights(k)
+    if k.shape[0] > img.shape[0] or k.shape[1] > img.shape[1]:
+        raise InvalidInputError("kernel: %s larger than image %s" % (k.shape, img.shape[:2]))
+    if not k.sum() > 0.0:
+        raise InvalidInputError("kernel: weights must have a positive sum")
+    latent = _l2_latent(to_grayscale(img), k)
+    _, _, _, grad_s = structure_pass(np.clip(latent, 0.0, 1.0, out=latent), config,
+                                     theta=theta, threshold=threshold)
+    del latent
+    restored = adaptive_deconv(img, k, grad_s, config.lambda_final, out=out)
+    return np.clip(restored, 0.0, 1.0, out=restored), grad_s
+
+
 def deblur_blind(image, config: DeblurConfig, crop=None, progress=None, *, out=None):
     """End-to-end blind deblurring.
 
     Estimates the kernel from the grayscale image, or from its ``crop``
-    region, (x, y, w, h) in pixels, then restores the full image per channel
-    with structure-adaptive weights.  The whole image's samples must lie in
-    [0, 1].  The restored image goes into ``out`` when given, a writeable
-    float64 array of the image's shape that may be the image itself (read
-    for the last time by the restoration).  Returns (kernel, restored,
-    grad_s).
+    region, (x, y, w, h) in pixels, then restores the full image with
+    ``restore`` at the estimate's final threshold and smoothing strength.
+    The whole image's samples must lie in [0, 1].  The restored image goes
+    into ``out`` when given, a writeable float64 array of the image's shape
+    that may be the image itself (read for the last time by the
+    restoration).  Returns (kernel, restored, grad_s).
     """
     config.validate()
     img = np.asarray(image, dtype=np.float64)
@@ -323,13 +363,6 @@ def deblur_blind(image, config: DeblurConfig, crop=None, progress=None, *, out=N
     _check_out(out, img.shape)
     region = img if crop is None else crop_region(img, crop)
     result = estimate_blur_kernel(region, config, progress=progress)
-    # The structure field comes from a full-frame latent at the final
-    # (t, theta): one closed-form solve under a quadratic gradient prior whose
-    # ringing and noise the structure step removes.  Neither the gray frame
-    # nor the latent is held through the final restoration.
-    latent = _l2_latent(to_grayscale(img), result.kernel)
-    _, _, _, grad_s = structure_pass(np.clip(latent, 0.0, 1.0, out=latent), config,
-                                     theta=result.theta, threshold=result.threshold)
-    del latent
-    restored = adaptive_deconv(img, result.kernel, grad_s, config.lambda_final, out=out)
-    return result.kernel, np.clip(restored, 0.0, 1.0, out=restored), grad_s
+    restored, grad_s = restore(img, result.kernel, config, theta=result.theta,
+                               threshold=result.threshold, out=out)
+    return result.kernel, restored, grad_s

@@ -366,6 +366,22 @@ class TestDeconvCommand:
         sd.write_image(tmp_path / "expected.png", np.clip(stack, 0.0, 1.0))
         assert out.read_bytes() == (tmp_path / "expected.png").read_bytes()
 
+    @pytest.mark.parametrize("color", [False, True], ids=["gray", "rgb"])
+    def test_adaptive_is_restore_from_the_latent(self, tmp_path, color):
+        chart = sd.test_chart(64)
+        kernel = sd.kernel_preset("line-d", 5)
+        sharp = np.dstack([chart, 1.0 - chart, 0.5 * chart]) if color else chart
+        bpath, kpath = tmp_path / "b.png", tmp_path / "k.txt"
+        sd.write_image(bpath, sd.synthesize(sharp, kernel, noise_sigma=0.005, seed=6))
+        sd.write_kernel(kpath, kernel)
+        out = tmp_path / "r.png"
+        assert run(["deconv", "--input", str(bpath), "--kernel", str(kpath),
+                    "--output", str(out), "--method", "adaptive"]) == 0
+        k, _ = sd.project_kernel(sd.read_kernel(kpath))
+        restored, _ = sd.restore(sd.read_image(bpath), k, sd.DeblurConfig(kernel_size=5))
+        sd.write_image(tmp_path / "expected.png", restored)
+        assert out.read_bytes() == (tmp_path / "expected.png").read_bytes()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_kernel_file_exit_2(self, tmp_path, capsys, bad):
         bpath = tmp_path / "b.png"

@@ -342,6 +342,74 @@ class TestPipeline:
             sd.deblur_blind(blurred, cfg, crop=(16, 16, 40, 40))
 
 
+
+def _blurred_pair(color):
+    """A small blurred chart, gray or RGB, and the line-h 5 kernel."""
+    chart = sd.test_chart(64)
+    sharp = np.dstack([chart, np.roll(chart, 3, axis=0), np.roll(chart, 5, axis=1)]) if color else chart
+    kernel = sd.kernel_preset("line-h", 5)
+    return sd.synthesize(sharp, kernel, noise_sigma=0.005, seed=4), kernel
+
+
+class TestRestore:
+    @pytest.mark.parametrize("color", [False, True], ids=["gray", "rgb"])
+    @pytest.mark.parametrize("crop", [None, (8, 8, 48, 48)], ids=["full", "crop"])
+    def test_deblur_blind_is_estimate_then_restore_bitwise(self, color, crop):
+        blurred, _ = _blurred_pair(color)
+        cfg = sd.DeblurConfig(kernel_size=5)
+        kernel, restored, grad_s = sd.deblur_blind(blurred, cfg, crop=crop)
+        region = blurred if crop is None else pipeline.crop_region(blurred, crop)
+        result = sd.estimate_blur_kernel(region, cfg)
+        restored_2, grad_s_2 = sd.restore(blurred, result.kernel, cfg, theta=result.theta,
+                                          threshold=result.threshold)
+        assert np.array_equal(kernel, result.kernel) and np.array_equal(restored, restored_2)
+        assert np.array_equal(grad_s.gx, grad_s_2.gx) and np.array_equal(grad_s.gy, grad_s_2.gy)
+
+    def test_defaults_are_the_configs_theta0_and_threshold(self):
+        blurred, kernel = _blurred_pair(False)
+        cfg = sd.DeblurConfig(kernel_size=5, theta0=0.8, threshold=0.05)
+        restored, grad_s = sd.restore(blurred, kernel, cfg)
+        restored_2, grad_s_2 = sd.restore(blurred, kernel, cfg, theta=0.8, threshold=0.05)
+        assert np.array_equal(restored, restored_2) and np.array_equal(grad_s.gx, grad_s_2.gx)
+        assert 0.0 <= restored.min() and restored.max() <= 1.0
+
+    def test_structure_comes_from_the_latent_not_the_input(self):
+        # the input's edges are the blur's: the latent's give a sharper restoration
+        chart = sd.test_chart(96)
+        kernel = sd.kernel_preset("line-d", 9)
+        blurred = sd.synthesize(chart, kernel, noise_sigma=0.01, seed=3)
+        cfg = sd.DeblurConfig(kernel_size=9)
+        restored, _ = sd.restore(blurred, kernel, cfg)
+        from_input = sd.adaptive_deconv(blurred, kernel, pipeline.structure_pass(blurred, cfg)[3],
+                                        cfg.lambda_final)
+        assert sd.psnr(restored, chart) > sd.psnr(np.clip(from_input, 0.0, 1.0), chart)
+
+    @pytest.mark.parametrize("bad, match", [
+        ("nan", "finite"), ("inf", "finite"), ("negative", "non-negative"), ("even", "odd"),
+        ("flat", "2D"), ("larger", "larger than image"), ("zero-sum", "positive sum"),
+    ])
+    def test_bad_kernel_is_rejected_before_any_solve(self, bad, match, monkeypatch):
+        blurred, kernel = _blurred_pair(False)
+        kernel = {"nan": np.where(kernel > 0, np.nan, 0.0), "inf": np.where(kernel > 0, np.inf, 0.0),
+                  "negative": kernel - 0.01, "even": np.full((4, 5), 0.05), "flat": kernel.ravel(),
+                  "larger": np.full((65, 3), 1.0 / 195), "zero-sum": np.zeros((5, 5))}[bad]
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("_l2_latent", "structure_pass", "adaptive_deconv"):
+            monkeypatch.setattr(pipeline, name, unexpected)
+        with pytest.raises(sd.InvalidInputError, match="kernel: .*" + match):
+            sd.restore(blurred, kernel, sd.DeblurConfig(kernel_size=5))
+
+    @pytest.mark.parametrize("bad", ["samples", "out"])
+    def test_bad_image_or_out_is_rejected(self, bad):
+        blurred, kernel = _blurred_pair(False)
+        image, out = (blurred * 255.0, None) if bad == "samples" else (blurred, np.empty((64, 63)))
+        with pytest.raises(sd.InvalidInputError, match=r"\[0, 1\]" if bad == "samples" else "out"):
+            sd.restore(image, kernel, sd.DeblurConfig(kernel_size=5), out=out)
+
+
 _BLIND_RUN = """
 import sys
 import numpy as np

@@ -1,6 +1,7 @@
-"""The restoration sweep's gate (tools/restore_sweep.py compare): it exits 1
-when a preset's mean PSNR over the noise levels falls, and 0 when every
-preset's mean holds."""
+"""The restoration sweep (tools/restore_sweep.py): its gate, ``compare``,
+exits 1 when a preset's mean PSNR over the noise levels falls, and 0 when
+every preset's mean holds; ``run_cell`` restores one small cell in every
+mode, the blind one as ``deblur_blind`` does."""
 
 import importlib.util
 import json
@@ -46,3 +47,16 @@ def test_compare_exit_code(sweep, tmp_path, capsys, after, code):
     out = capsys.readouterr().out
     assert "crop mode" in out
     assert ("mean over noise fell" in out) == bool(code)
+
+
+def test_run_cell_restores_every_mode_and_blind_is_deblur_blind(sweep):
+    import numpy as np
+
+    import salientdeblur as sd
+
+    row = sweep.run_cell(64, "box", 9, 0.01, sweep.MODES)
+    assert all(np.isfinite(row[mode]) for mode in sweep.MODES)
+    sharp, k_true, blurred = sweep.cell_input(64, "box", 9, 0.01)
+    kernel, restored, _ = sd.deblur_blind(blurred, sd.DeblurConfig(kernel_size=9))
+    _, shift = sweep.score.ssde(kernel, k_true)
+    assert row["blind"] == sweep.score.psnr(restored, sharp, 9, shift)

@@ -3,29 +3,32 @@
 Each cell is the built-in chart (``synth.test_chart``) at one size, blurred
 by one of the benchmark's kernels (``perfbench.inputs.kernel`` and
 ``perfbench.inputs.blur``) plus Gaussian noise drawn from
-``default_rng([1, image side, 100 * sigma])`` and clipped to [0, 1].  Three
-modes restore it:
+``default_rng([1, image side, 100 * sigma])`` and clipped to [0, 1].  The
+kernel is estimated once per cell (``estimate_blur_kernel``), and three
+modes restore the cell through ``restore``, each from the structure of a
+full-frame latent under its kernel:
 
-* ``crop``: ``deblur_blind`` with the true kernel.  The estimate's kernel
-  is swapped for the true one while its final threshold and smoothing
-  strength are kept, so the final restoration runs on the structure of the
-  full-frame latent under the true kernel.  The mode keeps its name so that
-  runs of older trees stay comparable.
-* ``blind``: ``deblur_blind`` as it runs (the estimated kernel and the
-  structure of the full-frame latent under it).
-* ``deconv``: ``deconv --method adaptive`` with the true kernel (the
-  structure of the blurred input).
+* ``crop``: the true kernel, at the estimate's final threshold and
+  smoothing strength.  The mode keeps its name so that runs of older trees
+  stay comparable.
+* ``blind``: the estimated kernel, at the estimate's final threshold and
+  smoothing strength; this is ``deblur_blind`` as it runs.
+* ``deconv``: the true kernel, at the config's ``theta0`` and threshold;
+  this is ``deconv --method adaptive``.  Trees before ``restore`` existed
+  took this mode's structure from the blurred input instead.
 
 Every cell is scored with ``perfbench.score.psnr`` on the interior (margin =
 kernel side), after undoing the estimated kernel's alignment shift in blind
-mode.  The kernel estimate of a cell is computed once and shared by the
-``crop`` and ``blind`` modes.
+mode.  ``estimate_s`` is the kernel estimate's time, and each mode's ``_s``
+its restoration's.
 
-Run it with the tree to measure on ``PYTHONPATH``, then compare two runs::
+Run each tree's own copy of the tool, with that tree on ``PYTHONPATH`` (a
+tree's copy builds the modes from what that tree offers), then compare two
+runs::
 
     PYTHONPATH=src python tools/restore_sweep.py run --out after.json
-    PYTHONPATH=../parent/src python tools/restore_sweep.py run --out before.json
-    python tools/restore_sweep.py compare before.json after.json
+    (cd ../parent && PYTHONPATH=src python tools/restore_sweep.py run --out ../before.json)
+    python tools/restore_sweep.py compare ../before.json after.json
 
 ``compare`` prints every cell and, per mode and size, the mean over the
 noise levels of each kernel and of each preset (both l-curve kernels
@@ -35,7 +38,6 @@ together); it exits 1 if a preset's mean falls.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -65,40 +67,26 @@ def cell_input(size: int, preset: str, ksize: int, sigma: float):
 
 def run_cell(size: int, preset: str, ksize: int, sigma: float, modes) -> dict:
     import salientdeblur as sd
-    from salientdeblur import pipeline
 
     sharp, k_true, blurred = cell_input(size, preset, ksize, sigma)
     config = sd.DeblurConfig(kernel_size=ksize)
     row = {"size": size, "preset": preset, "ksize": ksize, "sigma": sigma}
-    estimate = pipeline.estimate_blur_kernel
-    memo = {}
-
-    def estimated(image, cfg, progress=None):
-        if "result" not in memo:
-            memo["result"] = estimate(image, cfg, progress=progress)
-        return memo["result"]
-
-    def with_true_kernel(image, cfg, progress=None):
-        return dataclasses.replace(estimated(image, cfg, progress), kernel=k_true)
-
-    try:
-        for mode in modes:
-            started = time.perf_counter()
-            shift = (0, 0)
-            if mode == "deconv":
-                _, _, _, grad_s = pipeline.structure_pass(blurred, config)
-                restored = sd.adaptive_deconv(blurred, k_true, grad_s, config.lambda_final)
-            elif mode == "crop":
-                pipeline.estimate_blur_kernel = with_true_kernel
-                _, restored, _ = sd.deblur_blind(blurred, config)
-            else:
-                pipeline.estimate_blur_kernel = estimated
-                k_est, restored, _ = sd.deblur_blind(blurred, config)
-                row["ssde"], shift = score.ssde(k_est, k_true)
-            row[mode + "_s"] = time.perf_counter() - started
-            row[mode] = score.psnr(np.clip(restored, 0.0, 1.0), sharp, ksize, shift)
-    finally:
-        pipeline.estimate_blur_kernel = estimate
+    started = time.perf_counter()
+    result = sd.estimate_blur_kernel(blurred, config)
+    row["estimate_s"] = time.perf_counter() - started
+    at_estimate = {"theta": result.theta, "threshold": result.threshold}
+    for mode in modes:
+        started = time.perf_counter()
+        shift = (0, 0)
+        if mode == "deconv":
+            restored, _ = sd.restore(blurred, k_true, config)
+        elif mode == "crop":
+            restored, _ = sd.restore(blurred, k_true, config, **at_estimate)
+        else:
+            restored, _ = sd.restore(blurred, result.kernel, config, **at_estimate)
+            row["ssde"], shift = score.ssde(result.kernel, k_true)
+        row[mode + "_s"] = time.perf_counter() - started
+        row[mode] = score.psnr(restored, sharp, ksize, shift)
     return row
 
 

@@ -7,8 +7,8 @@ fills numpy's FFT plan cache, which is not part of a stage's working set.
 
 The sample is ``synth.test_chart(size)`` blurred by the ``l-curve`` preset
 of the given kernel size; the RGB input stacks it with two shifted copies,
-and the structure field of the final restoration comes from
-``structure_pass`` at the default config, as in ``deblur_blind``.  Stages:
+and the structure field of the final restoration is the one ``restore``
+takes from the gray sample at the default config.  Stages:
 
 * ``r_map``, ``adaptive_tv_denoise``, ``shock_filter``: the structure
   stages on the gray frame (the TV split at the pyramid's first theta,
@@ -18,7 +18,10 @@ and the structure field of the final restoration comes from
 * ``tv_deconv``: the interim restoration, gray;
 * ``adaptive_deconv``: the final restoration, gray and RGB;
 * ``adaptive_deconv-rgb-out``: the RGB one restoring into its input with
-  ``out=``, as the CLI's ``deblur`` and ``deconv --method adaptive`` do.
+  ``out=``, as the CLI's ``deblur`` and ``deconv --method adaptive`` do;
+* ``restore``: the whole restoration from a kernel on the RGB input, the
+  latent and its structure included, restoring into the input as the CLI
+  does.
 
 Run it with the tree to measure on ``PYTHONPATH``::
 
@@ -62,12 +65,14 @@ def stages(size: int, kernel_size: int):
     rgb = np.dstack([gray, convolve(np.roll(sharp, 3, axis=0), k), convolve(np.roll(sharp, 5, axis=1), k)])
     config = pipeline.DeblurConfig(kernel_size=kernel_size)
     omega = structure.smooth_weight(structure.r_map(gray, config.window))
-    grad_s = pipeline.structure_pass(gray, config)[3]
+    grad_s = pipeline.restore(gray, k, config)[1]
     into = np.empty_like(rgb)
 
-    def in_place():  # the CLI's call: the restoration overwrites its input
-        np.copyto(into, rgb)
-        return adaptive_deconv(into, k, grad_s, config.lambda_final, out=into)
+    def in_place(restoration):  # the CLI's calls: the restoration overwrites its input
+        def call():
+            np.copyto(into, rgb)
+            return restoration(into)
+        return call
 
     return (
         ("r_map", lambda: structure.r_map(gray, config.window)),
@@ -78,7 +83,9 @@ def stages(size: int, kernel_size: int):
         ("tv_deconv", lambda: tv_deconv(gray, k, config.lambda_c)),
         ("adaptive_deconv", lambda: adaptive_deconv(gray, k, grad_s, config.lambda_final)),
         ("adaptive_deconv-rgb", lambda: adaptive_deconv(rgb, k, grad_s, config.lambda_final)),
-        ("adaptive_deconv-rgb-out", in_place),
+        ("adaptive_deconv-rgb-out",
+         in_place(lambda image: adaptive_deconv(image, k, grad_s, config.lambda_final, out=image))),
+        ("restore", in_place(lambda image: pipeline.restore(image, k, config, out=image))),
     )
 
 
