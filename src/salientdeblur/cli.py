@@ -3,11 +3,11 @@
 Subcommands: ``deblur`` (blind end to end), ``estimate-kernel`` (blind
 kernel only), ``deconv`` (non-blind with a supplied kernel), ``structure``
 (salient-structure maps), ``synth`` (synthetic blur generator) and ``eval``
-(batch scoring of a dataset directory).  ``deblur`` and ``deconv --method
-adaptive`` restore through one ``pipeline.restore``, which takes the
-restoration's structure from a latent under the kernel: the former at the
-kernel estimate's final threshold and smoothing strength, the latter at the
-config's.
+(batch scoring of a dataset directory).  ``deblur`` and ``deconv`` restore
+through one ``pipeline.restore``, which takes the restoration's structure
+from a latent under the kernel: the former at the kernel estimate's final
+threshold and smoothing strength, the latter at the config's, with the
+kernel size taken from the kernel file.
 
 Exit codes: 0 success, 1 processing failure (textureless input, numerical
 breakdown), 2 usage or I/O problems.
@@ -24,7 +24,6 @@ import numpy as np
 
 from . import fileio, metrics, synth
 from .core import poisson_reconstruct
-from .deconv import tv_deconv
 from .errors import DeblurError, InvalidInputError
 from .kernel_est import project_kernel
 from .pipeline import (
@@ -39,21 +38,23 @@ from .pipeline import (
 )
 from .structure import salient_mask
 
-# Config keys settable by a flag of the same name; kernel_size has its own.
+# Config keys settable by a flag of the same name; kernel_size has its own,
+# except on deconv, whose kernel file fixes it.
 _CONFIG_FLAGS = {k: t for k, t in _CONFIG_TYPES.items() if k != "kernel_size"}
 # The keys each subcommand reads, and so offers as flags; config files take every key.
 _STRUCTURE_KEYS = ("theta0", "window", "threshold")
 _ESTIMATE_KEYS = tuple(k for k in _CONFIG_FLAGS if k != "lambda_final")
-_DECONV_KEYS = ("lambda_c", "lambda_final") + _STRUCTURE_KEYS  # tv reads lambda_c, adaptive the rest
+_DECONV_KEYS = ("lambda_final",) + _STRUCTURE_KEYS
 
 _DEFAULT_KERNEL_SIZE = 15
 _DEFAULT_PRESET = "line-d"
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, keys, kernel_size_flag: bool = True) -> None:
     parser.add_argument("--config", metavar="PATH", help="config file of 'key = value' lines")
-    parser.add_argument("--kernel-size", type=int, metavar="N",
-                        help="blur kernel side length (odd)")
+    if kernel_size_flag:
+        parser.add_argument("--kernel-size", type=int, metavar="N",
+                            help="blur kernel side length (odd)")
     group = parser.add_argument_group("parameter overrides")
     for name in keys:
         group.add_argument("--" + name.replace("_", "-"), type=_CONFIG_FLAGS[name], dest=name,
@@ -140,17 +141,11 @@ def _cmd_estimate_kernel(args) -> int:
 
 
 def _cmd_deconv(args) -> int:
-    kernel = fileio.read_kernel(args.kernel)
-    kernel, _ = project_kernel(kernel)
-    if getattr(args, "kernel_size", None) is None:
-        args.kernel_size = max(kernel.shape)
+    kernel, _ = project_kernel(fileio.read_kernel(args.kernel))  # odd sides, unit sum
+    args.kernel_size = max(kernel.shape)
     cfg = _build_config(args)
     image = fileio.read_image(args.input)
-    if args.method == "tv":
-        restored = tv_deconv(image, kernel, cfg.lambda_c)
-        np.clip(restored, 0.0, 1.0, out=restored)
-    else:
-        restored, _ = restore(image, kernel, cfg, out=image)  # image not read again
+    restored, _ = restore(image, kernel, cfg, out=image)  # image not read again
     fileio.write_image(args.output, restored, bit_depth=args.bit_depth)
     print("deconv: wrote %s" % args.output)
     return 0
@@ -183,10 +178,7 @@ def _cmd_synth(args) -> int:
         raise InvalidInputError("synth: provide --input or --chart")
     if args.kernel:
         kernel = fileio.read_kernel(args.kernel)
-        total = kernel.sum()
-        if total <= 0:
-            raise InvalidInputError("synth: kernel file has no positive mass")
-        kernel = kernel / total
+        kernel = kernel / kernel.sum()
     else:
         size = _DEFAULT_KERNEL_SIZE if args.kernel_size is None else args.kernel_size
         kernel = synth.kernel_preset(args.preset or _DEFAULT_PRESET, size)
@@ -249,11 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deconv", help="non-blind deconvolution with a given kernel")
     p.add_argument("--input", required=True, help="blurred image")
-    p.add_argument("--kernel", required=True, help="kernel text file")
+    p.add_argument("--kernel", required=True, help="kernel text file; it also sets the kernel size")
     p.add_argument("--output", required=True, help="restored image path")
-    p.add_argument("--method", choices=("tv", "adaptive"), default="tv")
     p.add_argument("--bit-depth", type=int, choices=(8, 16), default=8)
-    _add_config_flags(p, _DECONV_KEYS)
+    _add_config_flags(p, _DECONV_KEYS, kernel_size_flag=False)
     p.set_defaults(handler=_cmd_deconv)
 
     p = sub.add_parser("structure", help="write structure, mask and edge maps")

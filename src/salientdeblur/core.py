@@ -126,19 +126,26 @@ def _check_finite(what: str, *arrays) -> None:
             raise InvalidInputError("%s must be finite" % what)
 
 
-def _check_kernel_shape(kernel: np.ndarray) -> None:
+def _check_kernel_shape(kernel: np.ndarray, image_shape=None) -> None:
+    """A 2D array with odd sides, no larger than an image of ``image_shape``
+    ((h, w) or (h, w, c)) when one is given."""
     if kernel.ndim != 2:
         raise InvalidInputError("kernel: expected a 2D array")
     if kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
         raise InvalidInputError("kernel: side lengths must be odd, got %s" % (kernel.shape,))
+    if image_shape is not None and (kernel.shape[0] > image_shape[0] or kernel.shape[1] > image_shape[1]):
+        raise InvalidInputError("kernel: %s larger than image %s" % (kernel.shape, tuple(image_shape[:2])))
 
 
-def _check_kernel_weights(kernel: np.ndarray) -> None:
-    """Odd sides, finite and non-negative weights; the sum is not checked."""
-    _check_kernel_shape(kernel)
+def _check_kernel_weights(kernel: np.ndarray, image_shape=None, *, positive_sum: bool = False) -> None:
+    """``_check_kernel_shape``'s rules, then finite and non-negative weights,
+    with a positive sum when ``positive_sum``."""
+    _check_kernel_shape(kernel, image_shape)
     _check_finite("kernel: weights", kernel)
     if np.any(kernel < 0):
         raise InvalidInputError("kernel: weights must be non-negative")
+    if positive_sum and not kernel.sum() > 0.0:
+        raise InvalidInputError("kernel: weights must have a positive sum")
 
 
 def delta_kernel(size) -> np.ndarray:
@@ -251,14 +258,11 @@ def convolve(img, kernel, mode: str = "fft") -> np.ndarray:
     """
     img = as_image(img)
     k = np.asarray(kernel, dtype=np.float64)
-    _check_kernel_shape(k)
+    _check_kernel_shape(k, img.shape)
     _check_finite("kernel: weights", k)
-    h, w = img.shape[:2]
-    if k.shape[0] > h or k.shape[1] > w:
-        raise InvalidInputError("convolve: kernel %s larger than image %s" % (k.shape, (h, w)))
     if mode not in ("spatial", "fft"):
         raise InvalidInputError("convolve: unknown mode %r" % mode)
-    conv1 = BlurOperator(k, (h, w)).forward if mode == "fft" else lambda a: _conv_spatial(a, k)
+    conv1 = BlurOperator(k, img.shape[:2]).forward if mode == "fft" else lambda a: _conv_spatial(a, k)
     if img.ndim == 2:
         return conv1(img)
     return np.dstack([conv1(img[:, :, c]) for c in range(img.shape[2])])
@@ -286,12 +290,10 @@ class BlurOperator:
 
     def __init__(self, kernel, shape):
         self.kernel = np.asarray(kernel, dtype=np.float64)
-        _check_kernel_shape(self.kernel)
         self.shape = tuple(shape)
+        _check_kernel_shape(self.kernel, self.shape)
         h, w = self.shape
         kh, kw = self.kernel.shape
-        if kh > h or kw > w:
-            raise InvalidInputError("convolve: kernel %s larger than image %s" % ((kh, kw), (h, w)))
         self._ry, self._rx = kh // 2, kw // 2
         fh, fw = _fast_len(h + kh - 1), _fast_len(w + kw - 1)
         self._fk = np.fft.rfft2(self.kernel, s=(fh, fw))

@@ -102,11 +102,11 @@ def _read_png(path: Path) -> np.ndarray:
     ihdr = None
     idat = b""
     while pos < len(blob):
-        (length,) = struct.unpack(">I", blob[pos : pos + 4])
+        length = int.from_bytes(blob[pos : pos + 4], "big")  # a cut file may end mid-field
         tag = blob[pos + 4 : pos + 8]
         payload = blob[pos + 8 : pos + 8 + length]
         pos += 12 + length
-        if tag == b"IHDR":
+        if tag == b"IHDR" and len(payload) == 13:  # a cut or short one is no header
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat += payload
@@ -115,6 +115,8 @@ def _read_png(path: Path) -> np.ndarray:
     if ihdr is None:
         raise InvalidInputError("load: %s has no PNG header" % path)
     w, h, depth, color_type, _, _, interlace = ihdr
+    if w < 1 or h < 1:
+        raise InvalidInputError("load: PNG header of %s states %dx%d pixels" % (path, w, h))
     if interlace != 0:
         raise InvalidInputError("load: interlaced PNG unsupported (%s)" % path)
     if depth not in (8, 16):
@@ -122,7 +124,10 @@ def _read_png(path: Path) -> np.ndarray:
     n_channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color_type)
     if n_channels is None:
         raise InvalidInputError("load: PNG color type %d unsupported (%s)" % (color_type, path))
-    data = zlib.decompress(idat)
+    try:
+        data = zlib.decompress(idat)
+    except zlib.error as exc:
+        raise InvalidInputError("load: corrupt or truncated PNG image data in %s" % path) from exc
     rows = _unfilter(data, h, w, n_channels, depth // 8)
     if depth == 8:
         arr = rows.reshape(h, w, n_channels).astype(np.float64) / 255.0
@@ -169,18 +174,23 @@ def _read_pnm(path: Path) -> np.ndarray:
         w, h, maxval = int(w_tok), int(h_tok), int(maxval_tok)
     except (StopIteration, ValueError) as exc:
         raise InvalidInputError("load: malformed PNM header in %s" % path) from exc
+    if w < 1 or h < 1 or not 1 <= maxval <= 65535:
+        raise InvalidInputError("load: PNM header of %s states %dx%d pixels of maxval %d" % (path, w, h, maxval))
     channels = 3 if magic in ("P3", "P6") else 1
     count = w * h * channels
     if magic in ("P2", "P3"):
-        values = np.array([int(t) for t, _ in toks], dtype=np.float64)
+        try:
+            values = np.array([int(t) for t, _ in toks], dtype=np.float64)
+        except ValueError as exc:
+            raise InvalidInputError("load: PNM sample that is not an integer in %s" % path) from exc
         if values.size != count:
             raise InvalidInputError("load: PNM sample count mismatch in %s" % path)
     else:
         data = blob[end + 1 :]
-        if maxval > 255:
-            values = np.frombuffer(data, dtype=">u2", count=count).astype(np.float64)
-        else:
-            values = np.frombuffer(data, dtype=np.uint8, count=count).astype(np.float64)
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        if len(data) < count * dtype.itemsize:
+            raise InvalidInputError("load: PNM sample data truncated in %s" % path)
+        values = np.frombuffer(data, dtype=dtype, count=count).astype(np.float64)
     arr = values.reshape(h, w, channels) / float(maxval)
     return arr[:, :, 0] if channels == 1 else arr
 
@@ -243,20 +253,25 @@ def write_image(path, img, bit_depth: int = 8) -> None:
 # ---------------------------------------------------------------------------
 
 def read_kernel(path) -> np.ndarray:
-    """Read a plain-text kernel matrix (``w h`` header, then h rows of w values)."""
+    """Read a plain-text kernel matrix: a ``w h`` header, then exactly h rows
+    of w finite, non-negative values with a positive sum.  The sides may be
+    even, and the values need not sum to one."""
     path = Path(path)
     if not path.is_file():
         raise InvalidInputError("load: no such file: %s" % path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     try:
         w, h = (int(tok) for tok in lines[0].split())
-        rows = [[float(tok) for tok in ln.split()] for ln in lines[1 : 1 + h]]
+        rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
     except (ValueError, IndexError) as exc:
         raise InvalidInputError("load: malformed kernel file %s" % path) from exc
+    if min(w, h) < 1 or len(rows) != h or any(len(row) != w for row in rows):
+        raise InvalidInputError("load: kernel file %s does not hold the %d rows of %d values its header states"
+                                % (path, h, w))
     k = np.array(rows, dtype=np.float64)
-    if k.shape != (h, w):
-        raise InvalidInputError("load: kernel file %s has shape %s, header says %s" % (path, k.shape, (h, w)))
     _check_finite("load: kernel file %s values" % path, k)
+    if np.any(k < 0) or not k.sum() > 0.0:
+        raise InvalidInputError("kernel: weights must be non-negative with a positive sum, in %s" % path)
     return k
 
 

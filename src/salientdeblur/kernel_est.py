@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GradientField, _check_count, _check_finite, _check_real, _difference_spectra, _pad_replicate,
-                   convolve, delta_kernel, gradients, periodic_gradients)
+from .core import (GradientField, _check_count, _check_finite, _check_kernel_shape, _check_real, _difference_spectra,
+                   _pad_replicate, convolve, delta_kernel, gradients, periodic_gradients)
 from .deconv import cg_solve
 from .errors import DegenerateStructureError, InvalidInputError, NumericalError
 
@@ -126,15 +126,12 @@ class _EdgeSystem:
 
     def __init__(self, grad_b: GradientField, grad_s: GradientField, kshape):
         kh, kw = kshape
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise InvalidInputError("kernel-estimation: kernel sides must be odd")
         b = np.stack([np.asarray(c, dtype=np.float64) for c in grad_b])
         s = [np.asarray(c, dtype=np.float64) for c in grad_s]
         _, h, w = b.shape
         if any(c.shape != (h, w) for c in s):
             raise InvalidInputError("kernel-estimation: blurred and structure gradients differ in shape")
-        if kh > h or kw > w:
-            raise InvalidInputError("kernel-estimation: kernel larger than image")
+        _check_kernel_shape(np.empty((kh, kw)), (h, w))
         self.kshape = (kh, kw)
         p = np.stack([_pad_replicate(c, kh // 2, kw // 2) for c in s])
         _, ph, pw = p.shape

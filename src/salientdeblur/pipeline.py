@@ -9,8 +9,9 @@ kernel estimated at each level seeds the next finer one.
 structure that weights the full-resolution adaptive restoration is
 extracted from a full-frame latent under the kernel, never from the
 blurred input, whose edges are the blur's.  ``deblur_blind`` runs it at the
-pyramid's final threshold and smoothing strength, the ``deconv --method
-adaptive`` command at the config's.
+pyramid's final threshold and smoothing strength, the ``deconv`` command at
+the config's.  The TV restoration (``tv_deconv``) is the pyramid's interim
+solver only.
 """
 
 from __future__ import annotations
@@ -90,8 +91,10 @@ _OPTIONAL_KEYS = {f.name for f in fields(DeblurConfig) if f.type.endswith(" | No
 
 
 def parse_config_text(text: str, kernel_size: int | None = None) -> DeblurConfig:
-    """Parse ``key = value`` lines into a config; unknown keys are errors."""
+    """Parse ``key = value`` lines into a config; unknown and repeated keys
+    are errors."""
     values: dict = {}
+    linenos: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,6 +104,9 @@ def parse_config_text(text: str, kernel_size: int | None = None) -> DeblurConfig
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _CONFIG_TYPES:
             raise InvalidInputError("config: unknown key %r on line %d" % (key, lineno))
+        if key in linenos:
+            raise InvalidInputError("config: key %r given twice, on lines %d and %d" % (key, linenos[key], lineno))
+        linenos[key] = lineno
         values[key] = _parse_config_value(key, value)
     if kernel_size is not None:
         values["kernel_size"] = kernel_size
@@ -333,11 +339,7 @@ def restore(image, kernel, config: DeblurConfig, *, theta: float | None = None,
     _unit_image(img)
     _check_out(out, img.shape)
     k = np.asarray(kernel, dtype=np.float64)
-    _check_kernel_weights(k)
-    if k.shape[0] > img.shape[0] or k.shape[1] > img.shape[1]:
-        raise InvalidInputError("kernel: %s larger than image %s" % (k.shape, img.shape[:2]))
-    if not k.sum() > 0.0:
-        raise InvalidInputError("kernel: weights must have a positive sum")
+    _check_kernel_weights(k, img.shape, positive_sum=True)
     latent = _l2_latent(to_grayscale(img), k)
     _, _, _, grad_s = structure_pass(np.clip(latent, 0.0, 1.0, out=latent), config,
                                      theta=theta, threshold=threshold)

@@ -6,6 +6,7 @@ import pytest
 
 import salientdeblur as sd
 from salientdeblur.cli import build_parser, main
+from salientdeblur.fileio import _png_chunk
 
 from oracles import check_kernel
 
@@ -51,7 +52,7 @@ class TestHelp:
         assert info.value.code == 2
 
 
-_OVERRIDES = {f.name for f in fields(sd.DeblurConfig)} - {"kernel_size"}  # --kernel-size is on every command
+_OVERRIDES = {f.name for f in fields(sd.DeblurConfig)} - {"kernel_size"}  # --kernel-size is not an override
 
 
 def _offered(command) -> set:
@@ -106,8 +107,7 @@ def test_override_flags_are_the_fields_the_command_reads(command, small_case, mo
         "deblur": [["--input", image, "--output", out + ".png", "--kernel-size", "5"]],
         "estimate-kernel": [["--input", image, "--output", out + ".txt", "--kernel-size", "5"]],
         "eval": [["--input", str(small_case / "ds"), "--kernel-size", "5"]],
-        "deconv": [["--input", image, "--kernel", kernel, "--output", out + ".png", "--method", method]
-                   for method in ("tv", "adaptive")],
+        "deconv": [["--input", image, "--kernel", kernel, "--output", out + ".png"]],
         "structure": [["--input", image, "--output", out]],
     }[command]
     reads = set()
@@ -128,12 +128,14 @@ _REQUIRED = {
     ("estimate-kernel", "--lambda-final"),
     ("eval", "--lambda-final"),
     ("deconv", "--gamma"), ("deconv", "--alpha"), ("deconv", "--inner-iters"), ("deconv", "--decay"),
-    ("deconv", "--mu"),
+    ("deconv", "--mu"), ("deconv", "--lambda-c"), ("deconv", "--kernel-size"), ("deconv", "--method"),
     ("structure", "--lambda-c"), ("structure", "--lambda-final"), ("structure", "--gamma"),
     ("structure", "--alpha"), ("structure", "--inner-iters"), ("structure", "--decay"), ("structure", "--mu"),
 ])
 def test_unread_override_is_usage_error(command, flag, capsys):
-    # these were parsed and range-checked, and then the command never read them
+    # these were parsed and range-checked, and then the command never read
+    # them; deconv's --lambda-c and --method picked the TV restoration, and
+    # its kernel file fixes the kernel size
     with pytest.raises(SystemExit) as info:
         run([command] + _REQUIRED[command] + [flag, "3"])
     assert info.value.code == 2
@@ -154,7 +156,82 @@ def test_eval_override_without_config_exit_2(flags, small_case, tmp_path, capsys
     assert not csv_path.exists()
 
 
+_BAD_KERNEL_FILES = {
+    "ragged": "3 3\n0 0 0\n0 1\n0 0 0\n",          # a raw ValueError and a traceback
+    "extra-row": "3 3\n0 0 0\n0 1 0\n0 0 0\n1 1 1\n",  # the last row was dropped
+    "negative": "3 3\n0 0 0\n-0.5 1 0\n0 0 0\n",   # deconv and eval clamped it to zero
+    "zero-sum": "3 3\n0 0 0\n0 0 0\n0 0 0\n",      # deconv restored with the identity kernel
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_KERNEL_FILES))
+@pytest.mark.parametrize("command", ["deconv", "synth", "eval"])
+def test_bad_kernel_file_exit_2(command, case, tmp_path, capsys):
+    case_dir = tmp_path / "ds" / "case"
+    case_dir.mkdir(parents=True)
+    kpath = case_dir / "kernel_true.txt"
+    kpath.write_text(_BAD_KERNEL_FILES[case])
+    chart, out = sd.test_chart(64), tmp_path / "out.png"
+    sd.write_image(case_dir / "blurred.png", chart)
+    sd.write_image(case_dir / "sharp.png", chart)
+    argv = {"deconv": ["--input", str(case_dir / "blurred.png"), "--kernel", str(kpath), "--output", str(out)],
+            "synth": ["--chart", "64", "--kernel", str(kpath), "--output", str(out)],
+            "eval": ["--input", str(tmp_path / "ds"), "--output", str(out)]}[command]
+    assert run([command] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(kpath) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _flip_byte(blob: bytes, at: int) -> bytes:
+    return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1 :]
+
+
+# each made from a valid chart PNG
+_BAD_IMAGE_FILES = {
+    # a raw zlib.error
+    "png-corrupt-idat": lambda png: _flip_byte(png, png.index(b"IDAT") + 40),
+    "png-cut-in-half": lambda png: png[: len(png) // 2],
+    # an empty image, and an IndexError in the structure step
+    "png-0x0": lambda png: png[:16] + bytes(8) + png[24:],
+    # a raw struct.error
+    "png-short-header": lambda png: png[:8] + _png_chunk(b"IHDR", png[16:28]) + png[33:],
+    # a raw ValueError: buffer is smaller than requested size
+    "pgm-short": lambda png: b"P5\n8 8\n255\n" + bytes(40),
+    # a raw ValueError: invalid literal for int()
+    "pgm-ascii-not-a-number": lambda png: b"P2\n2 2\n255\n0 1 x 3\n",
+    # an all-NaN image
+    "pgm-maxval-0": lambda png: b"P2\n2 2\n0\n0 0 0 0\n",
+    # an empty image
+    "pgm-0x0": lambda png: b"P5\n0 0\n255\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_IMAGE_FILES))
+def test_bad_image_file_exit_2(case, tmp_path, capsys):
+    png = tmp_path / "chart.png"
+    sd.write_image(png, sd.test_chart(64))
+    bad = tmp_path / ("bad" + (".png" if case.startswith("png") else ".pgm"))
+    bad.write_bytes(_BAD_IMAGE_FILES[case](png.read_bytes()))
+    png.unlink()
+    assert run(["structure", "--input", str(bad), "--output", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: load: ") and str(bad) in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 class TestErrors:
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys):
+        # the last value won
+        cfg, img = tmp_path / "cfg.txt", tmp_path / "img.png"
+        cfg.write_text("kernel_size = 7\ntheta0 = 1\n\ntheta0 = 2\n")
+        sd.write_image(img, sd.test_chart(64))
+        rc = run(["structure", "--input", str(img), "--output", str(tmp_path / "s"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: config: key 'theta0' given twice, on lines 2 and 4" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "img.png"]
+
     def test_missing_input_exit_2_names_path(self, tmp_path, capsys):
         missing = tmp_path / "absent.png"
         rc = run(["deblur", "--input", str(missing), "--output", str(tmp_path / "o.png"),
@@ -333,7 +410,7 @@ class TestStructureCommand:
 
 
 class TestDeconvCommand:
-    def test_tv_and_adaptive(self, tmp_path):
+    def test_restored_beats_blurred(self, tmp_path):
         chart = sd.test_chart(96)
         kernel = sd.kernel_preset("line-h", 7)
         blurred = sd.synthesize(chart, kernel, noise_sigma=0.005, seed=4)
@@ -341,30 +418,11 @@ class TestDeconvCommand:
         kpath = tmp_path / "k.txt"
         sd.write_image(bpath, blurred, bit_depth=16)
         sd.write_kernel(kpath, kernel)
-        for method in ("tv", "adaptive"):
-            out = tmp_path / f"r_{method}.png"
-            rc = run(["deconv", "--input", str(bpath), "--kernel", str(kpath),
-                      "--output", str(out), "--method", method])
-            assert rc == 0
-            restored = sd.read_image(out)
-            assert sd.psnr(restored, chart) > sd.psnr(blurred, chart)
-
-    def test_tv_on_rgb_is_a_per_channel_stack(self, tmp_path):
-        chart = sd.test_chart(64)
-        kernel = sd.kernel_preset("line-d", 5)
-        sharp = np.dstack([chart, 1.0 - chart, 0.5 * chart])
-        bpath, kpath = tmp_path / "b.png", tmp_path / "k.txt"
-        sd.write_image(bpath, sd.synthesize(sharp, kernel, noise_sigma=0.005, seed=6))
-        sd.write_kernel(kpath, kernel)
         out = tmp_path / "r.png"
-        assert run(["deconv", "--input", str(bpath), "--kernel", str(kpath),
-                    "--output", str(out), "--method", "tv"]) == 0
-        blurred = sd.read_image(bpath)
-        k, _ = sd.project_kernel(sd.read_kernel(kpath))
-        lam = sd.DeblurConfig(kernel_size=5).lambda_c
-        stack = np.dstack([sd.tv_deconv(blurred[:, :, c], k, lam) for c in range(3)])
-        sd.write_image(tmp_path / "expected.png", np.clip(stack, 0.0, 1.0))
-        assert out.read_bytes() == (tmp_path / "expected.png").read_bytes()
+        rc = run(["deconv", "--input", str(bpath), "--kernel", str(kpath), "--output", str(out)])
+        assert rc == 0
+        restored = sd.read_image(out)
+        assert sd.psnr(restored, chart) > sd.psnr(blurred, chart)
 
     @pytest.mark.parametrize("color", [False, True], ids=["gray", "rgb"])
     def test_adaptive_is_restore_from_the_latent(self, tmp_path, color):
@@ -375,8 +433,7 @@ class TestDeconvCommand:
         sd.write_image(bpath, sd.synthesize(sharp, kernel, noise_sigma=0.005, seed=6))
         sd.write_kernel(kpath, kernel)
         out = tmp_path / "r.png"
-        assert run(["deconv", "--input", str(bpath), "--kernel", str(kpath),
-                    "--output", str(out), "--method", "adaptive"]) == 0
+        assert run(["deconv", "--input", str(bpath), "--kernel", str(kpath), "--output", str(out)]) == 0
         k, _ = sd.project_kernel(sd.read_kernel(kpath))
         restored, _ = sd.restore(sd.read_image(bpath), k, sd.DeblurConfig(kernel_size=5))
         sd.write_image(tmp_path / "expected.png", restored)

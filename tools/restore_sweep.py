@@ -14,8 +14,8 @@ full-frame latent under its kernel:
 * ``blind``: the estimated kernel, at the estimate's final threshold and
   smoothing strength; this is ``deblur_blind`` as it runs.
 * ``deconv``: the true kernel, at the config's ``theta0`` and threshold;
-  this is ``deconv --method adaptive``.  Trees before ``restore`` existed
-  took this mode's structure from the blurred input instead.
+  this is the ``deconv`` command.  Trees before ``restore`` existed took
+  this mode's structure from the blurred input instead.
 
 Every cell is scored with ``perfbench.score.psnr`` on the interior (margin =
 kernel side), after undoing the estimated kernel's alignment shift in blind

@@ -18,7 +18,7 @@ takes from the gray sample at the default config.  Stages:
 * ``tv_deconv``: the interim restoration, gray;
 * ``adaptive_deconv``: the final restoration, gray and RGB;
 * ``adaptive_deconv-rgb-out``: the RGB one restoring into its input with
-  ``out=``, as the CLI's ``deblur`` and ``deconv --method adaptive`` do;
+  ``out=``, as the CLI's ``deblur`` and ``deconv`` do;
 * ``restore``: the whole restoration from a kernel on the RGB input, the
   latent and its structure included, restoring into the input as the CLI
   does.
