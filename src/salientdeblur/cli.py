@@ -177,8 +177,7 @@ def _cmd_synth(args) -> int:
     else:
         raise InvalidInputError("synth: provide --input or --chart")
     if args.kernel:
-        kernel = fileio.read_kernel(args.kernel)
-        kernel = kernel / kernel.sum()
+        kernel, _ = project_kernel(fileio.read_kernel(args.kernel))
     else:
         size = _DEFAULT_KERNEL_SIZE if args.kernel_size is None else args.kernel_size
         kernel = synth.kernel_preset(args.preset or _DEFAULT_PRESET, size)

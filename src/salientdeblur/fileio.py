@@ -191,6 +191,8 @@ def _read_pnm(path: Path) -> np.ndarray:
         if len(data) < count * dtype.itemsize:
             raise InvalidInputError("load: PNM sample data truncated in %s" % path)
         values = np.frombuffer(data, dtype=dtype, count=count).astype(np.float64)
+    if not 0 <= values.min() <= values.max() <= maxval:
+        raise InvalidInputError("load: PNM samples outside [0, %d] in %s" % (maxval, path))
     arr = values.reshape(h, w, channels) / float(maxval)
     return arr[:, :, 0] if channels == 1 else arr
 

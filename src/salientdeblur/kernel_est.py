@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (GradientField, _check_count, _check_finite, _check_kernel_shape, _check_real, _difference_spectra,
-                   _pad_replicate, convolve, delta_kernel, gradients, periodic_gradients)
+                   _pad_replicate, convolve, gradients, periodic_gradients)
 from .deconv import cg_solve
 from .errors import DegenerateStructureError, InvalidInputError, NumericalError
 
@@ -69,24 +69,28 @@ def gradient_count(kernel) -> int:
 
 
 def project_kernel(raw) -> tuple[np.ndarray, bool]:
-    """Project a raw grid onto the kernel constraints.
+    """The one rule that turns a grid into a kernel: an odd grid of
+    non-negative weights that sum to one.
 
-    Even side lengths are padded to odd with a trailing zero row/column;
-    negatives clamp to zero and the result is renormalized to unit sum.  A
-    grid with no positive mass falls back to a centered delta; the second
-    return value flags that degenerate case.
+    Even side lengths are padded to odd with a trailing zero row/column,
+    negative weights clamp to zero, and the result is divided by its sum.
+    Raises InvalidInputError if a weight is not finite or if no positive
+    mass is left (sum at most 1e-12): no kernel is invented.  Returns
+    ``(kernel, False)``; the second value is always False and stays only
+    because callers unpack two values.
     """
     k = np.array(raw, dtype=np.float64)
     if k.ndim != 2:
-        raise InvalidInputError("kernel-estimation: kernel grid must be 2D")
+        raise InvalidInputError("kernel: expected a 2D array")
+    _check_finite("kernel: weights", k)
     pad_y = k.shape[0] % 2 == 0
     pad_x = k.shape[1] % 2 == 0
     if pad_y or pad_x:
         k = np.pad(k, ((0, int(pad_y)), (0, int(pad_x))))
     k = np.maximum(k, 0.0)
     total = k.sum()
-    if not np.isfinite(total) or total <= 1e-12:
-        return delta_kernel(k.shape), True
+    if not total > 1e-12:
+        raise InvalidInputError("kernel: weights have no positive mass")
     return k / total, False
 
 
@@ -171,8 +175,10 @@ def kernel_irls_step(grad_b: GradientField, grad_s: GradientField, k0, params: K
 
     Each reweighting solves a quadratic by conjugate gradients on the normal
     equations, then projects onto the kernel constraints, keeping iterates
-    feasible throughout.  ``system``, when given, is the prebuilt normal
-    equations of (grad_b, grad_s) at the kernel's shape.
+    feasible throughout; a solution that ``project_kernel`` refuses (not
+    finite, or no positive mass) raises NumericalError.  ``system``, when
+    given, is the prebuilt normal equations of (grad_b, grad_s) at the
+    kernel's shape.
     """
     k = np.asarray(k0, dtype=np.float64)
     if not np.any(np.asarray(grad_s[0])) and not np.any(np.asarray(grad_s[1])):
@@ -185,10 +191,10 @@ def kernel_irls_step(grad_b: GradientField, grad_s: GradientField, k0, params: K
         def apply_a(x):
             return system.apply_data(x) + (0.5 * weight) * x
 
-        solution = cg_solve(apply_a, system.rhs, params.cg_iters)
-        if not np.all(np.isfinite(solution)):
-            raise NumericalError("kernel-estimation: non-finite kernel iterate")
-        k, _ = project_kernel(solution)
+        try:
+            k, _ = project_kernel(cg_solve(apply_a, system.rhs, params.cg_iters))
+        except InvalidInputError as exc:
+            raise NumericalError("kernel-estimation: degenerate kernel iterate (%s)" % exc) from exc
     return k
 
 

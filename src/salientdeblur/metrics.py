@@ -1,11 +1,12 @@
 """Quantitative evaluation: kernel similarity, image fidelity, and the
 restoration error ratio.
 
-Kernel comparison normalizes both kernels, aligns them by the integer shift
-maximizing cross-correlation (blind estimation is shift-ambiguous), and sums
-squared differences.  The error ratio divides the restoration error obtained
-with the estimated kernel by the error obtained with the true kernel, using
-one common non-blind deconvolver for both sides.
+Kernel comparison projects both kernels (``project_kernel``), aligns them
+by the integer shift maximizing cross-correlation (blind estimation is
+shift-ambiguous), and sums squared differences.  The error ratio divides
+the restoration error obtained with the estimated kernel by the error
+obtained with the true kernel, using one common non-blind deconvolver for
+both sides.
 """
 
 from __future__ import annotations
@@ -49,28 +50,17 @@ def _embed_center(k: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _normalize(k) -> np.ndarray:
-    k = np.asarray(k, dtype=np.float64)
-    _check_finite("metrics: kernel weights", k)
-    total = k.sum()
-    if total <= 0:
-        raise InvalidInputError("metrics: kernel has no positive mass")
-    return k / total
-
-
 def _aligned_canvases(k_est, k_true):
-    """Both kernels normalized onto one centered canvas, k_est shifted into
+    """Both kernels projected onto one centered canvas, k_est shifted into
     registration by the correlation-maximizing offset.
 
     The canvas carries half-a-side of extra margin in every direction, so no
     mass clips at any shift inside the search window; alignment is therefore
     symmetric between the two arguments.
     """
-    a = _normalize(k_est)
-    b = _normalize(k_true)
-    side = max(a.shape[0], b.shape[0], a.shape[1], b.shape[1])
-    if side % 2 == 0:
-        side += 1
+    a, _ = project_kernel(k_est)
+    b, _ = project_kernel(k_true)
+    side = max(a.shape[0], b.shape[0], a.shape[1], b.shape[1])  # odd: both are projected
     radius = side // 2
     canvas = side + 2 * radius
     ac = _embed_center(a, (canvas, canvas))
@@ -85,8 +75,8 @@ def _aligned_canvases(k_est, k_true):
 
 
 def _shifted(k_est, shift) -> np.ndarray:
-    """k_est normalized, moved by ``shift`` in its own frame and projected."""
-    aligned, _ = project_kernel(_shift_zero(_normalize(k_est), shift[0], shift[1]))
+    """k_est projected, moved by ``shift`` in its own frame and projected again."""
+    aligned, _ = project_kernel(_shift_zero(project_kernel(k_est)[0], shift[0], shift[1]))
     return aligned
 
 
@@ -137,7 +127,7 @@ def evaluate_kernels(k_est, k_true, blurred, sharp, lambda_c: float = COMMON_LAM
     gray_sharp = to_grayscale(sharp)
     err, shift = ssde(k_est, k_true)
     aligned = _shifted(k_est, shift)
-    k_truth, _ = project_kernel(np.asarray(k_true, dtype=np.float64))
+    k_truth, _ = project_kernel(k_true)
     restored_est = tv_deconv(gray_blur, aligned, lambda_c)
     restored_true = tv_deconv(gray_blur, k_truth, lambda_c)
     return EvalReport(

@@ -197,12 +197,13 @@ class PyramidResult:
 
 def _initial_kernel(size: int) -> np.ndarray:
     # A pure impulse makes the first coarse fit too sparse; mix in a uniform floor.
-    k = 0.9 * delta_kernel(size) + 0.1 * np.full((size, size), 1.0 / (size * size))
-    return k / k.sum()
+    k, _ = project_kernel(0.9 * delta_kernel(size) + 0.1 * np.full((size, size), 1.0 / (size * size)))
+    return k
 
 
 def _recenter_kernel(kernel: np.ndarray) -> np.ndarray:
-    """Shift the kernel's center of mass to the grid center (integer shift).
+    """Shift a projected kernel's center of mass to the grid center (integer
+    shift).
 
     The blur model is shift-ambiguous; without recentering the drift
     accumulated across pyramid levels can push a large kernel against its
@@ -210,8 +211,6 @@ def _recenter_kernel(kernel: np.ndarray) -> np.ndarray:
     """
     h, w = kernel.shape
     total = kernel.sum()
-    if total <= 0:
-        return kernel
     cy = float((np.arange(h) * kernel.sum(axis=1)).sum() / total)
     cx = float((np.arange(w) * kernel.sum(axis=0)).sum() / total)
     return _shift_zero(kernel, h // 2 - int(round(cy)), w // 2 - int(round(cx)))

@@ -204,6 +204,10 @@ _BAD_IMAGE_FILES = {
     "pgm-maxval-0": lambda png: b"P2\n2 2\n0\n0 0 0 0\n",
     # an empty image
     "pgm-0x0": lambda png: b"P5\n0 0\n255\n",
+    # samples above maxval and below 0: structure wrote its three maps
+    "pgm-ascii-out-of-range": lambda png: b"P2\n2 2\n255\n0 300 -5 3\n",
+    "ppm-ascii-above-maxval": lambda png: b"P3\n1 1\n15\n0 16 3\n",
+    "pgm-binary-above-maxval": lambda png: b"P5\n2 2\n100\n" + bytes([0, 200, 5, 3]),
 }
 
 
@@ -211,7 +215,7 @@ _BAD_IMAGE_FILES = {
 def test_bad_image_file_exit_2(case, tmp_path, capsys):
     png = tmp_path / "chart.png"
     sd.write_image(png, sd.test_chart(64))
-    bad = tmp_path / ("bad" + (".png" if case.startswith("png") else ".pgm"))
+    bad = tmp_path / ("bad." + case[:3])
     bad.write_bytes(_BAD_IMAGE_FILES[case](png.read_bytes()))
     png.unlink()
     assert run(["structure", "--input", str(bad), "--output", str(tmp_path / "s")]) == 2
@@ -238,6 +242,18 @@ class TestErrors:
                   "--kernel-size", "9"])
         assert rc == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_degenerate_kernel_fit_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the fit went on from the identity kernel and deblur exited 0
+        from salientdeblur import kernel_est
+
+        img, out = tmp_path / "img.png", tmp_path / "o.png"
+        sd.write_image(img, sd.test_chart(64))
+        monkeypatch.setattr(kernel_est, "cg_solve", lambda apply_a, b, iters: np.zeros_like(b))
+        assert run(["deblur", "--input", str(img), "--output", str(out), "--kernel-size", "9"]) == 1
+        err = capsys.readouterr().err
+        assert "degenerate kernel iterate" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_textureless_image_exit_1(self, tmp_path, capsys):
         flat = tmp_path / "flat.png"
@@ -334,6 +350,19 @@ class TestSynth:
         sd.write_kernel(kpath, sd.kernel_preset("box", 5))
         rc = run(["synth", "--chart", "72", "--kernel", str(kpath), "--output", str(tmp_path / "b.png")])
         assert rc == 0
+
+    def test_even_sided_kernel_file_is_projected(self, tmp_path):
+        # a 4x2 file: synthesize refused its even sides with exit 2
+        kpath, out, kout = tmp_path / "k.txt", tmp_path / "b.png", tmp_path / "k_out.txt"
+        kpath.write_text("2 4\n1 0\n2 0\n1 1\n0 3\n")
+        rc = run(["synth", "--chart", "64", "--kernel", str(kpath), "--output", str(out), "--kernel-out", str(kout)])
+        assert rc == 0
+        kernel, _ = sd.project_kernel(sd.read_kernel(kpath))
+        assert kernel.shape == (5, 3)
+        assert np.array_equal(sd.read_kernel(kout), kernel)
+        expected = tmp_path / "expected.png"
+        sd.write_image(expected, sd.synthesize(sd.test_chart(64), kernel), bit_depth=16)
+        assert out.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("extra", [["--preset", "box"], ["--kernel-size", "9"], ["--preset", "line-d"]])
     def test_kernel_file_with_preset_flag_exit_2(self, tmp_path, capsys, extra):

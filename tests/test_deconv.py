@@ -568,6 +568,43 @@ def test_lent_planes_hold_nothing_across_operator_calls(monkeypatch):
         assert np.array_equal(sd.adaptive_deconv(img, k, grad_s, 0.003), adaptive)
 
 
+class _CountingOperator(BlurOperator):
+    """A blur operator that counts its applications by kind."""
+
+    calls: dict = {}
+
+    def forward(self, img):
+        self.calls["forward"] = self.calls.get("forward", 0) + 1
+        return super().forward(img)
+
+    def adjoint(self, img):
+        self.calls["adjoint"] = self.calls.get("adjoint", 0) + 1
+        return super().adjoint(img)
+
+    def normal(self, u):
+        self.calls["normal"] = self.calls.get("normal", 0) + 1
+        return super().normal(u)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_operator_applications_per_channel(monkeypatch, channels):
+    # each application is a few FFT passes, so these counts set a
+    # restoration's transform count
+    rng = np.random.default_rng(29)
+    k = rng.random((5, 7))
+    k /= k.sum()
+    img = rng.random((19, 24, channels))
+    grad_s = sd.GradientField(0.1 * rng.normal(size=(19, 24)), 0.1 * rng.normal(size=(19, 24)))
+    monkeypatch.setattr(deconv, "BlurOperator", _CountingOperator)
+    for restore, normals in ((lambda: sd.tv_deconv(img, k, 0.005), IRLS_ITERS * CG_ITERS_INTERIM),
+                             (lambda: sd.adaptive_deconv(img, k, grad_s, 0.003),
+                              IRLS_ITERS_FINAL * (CG_ITERS_FINAL + 1))):  # + 1: each warm start's residual
+        monkeypatch.setattr(_CountingOperator, "calls", {})
+        restore()
+        assert _CountingOperator.calls == {"normal": channels * normals, "adjoint": channels}
+    assert (IRLS_ITERS * CG_ITERS_INTERIM, IRLS_ITERS_FINAL * (CG_ITERS_FINAL + 1)) == (90, 126)
+
+
 def test_lent_planes_are_contiguous_and_disjoint():
     op = BlurOperator(np.full((3, 5), 1.0 / 15.0), (9, 14))
     real, spectrum = op.scratch()

@@ -125,6 +125,20 @@ def test_pnm_ascii_read(tmp_path):
     assert np.allclose(img * 255, [[0, 128, 255], [64, 32, 16]])
 
 
+@pytest.mark.parametrize("name, blob", [
+    ("a.pgm", b"P2\n2 2\n255\n0 300 -5 3\n"),
+    ("a.pgm", b"P2\n2 2\n255\n0 256 1 3\n"),
+    ("a.pgm", b"P2\n2 2\n255\n0 -1 1 3\n"),
+    ("a.ppm", b"P3\n1 1\n15\n0 16 3\n"),
+    ("a.pgm", b"P5\n2 2\n100\n" + bytes([0, 200, 5, 3])),
+], ids=["ascii-both", "ascii-above", "ascii-below", "ascii-color", "binary-above"])
+def test_pnm_samples_outside_maxval_rejected(tmp_path, name, blob):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    with pytest.raises(sd.InvalidInputError, match=r"outside \[0, \d+\]"):
+        sd.read_image(path)
+
+
 def test_missing_file_names_path(tmp_path):
     target = tmp_path / "nope.png"
     with pytest.raises(sd.InvalidInputError) as info:

@@ -36,10 +36,22 @@ class TestProjectKernel:
         assert out.shape == (1, 3)
         assert np.array_equal(out, [[0.0, 1.0, 0.0]])
 
-    def test_all_negative_degenerates_to_delta(self):
-        out, degenerate = sd.project_kernel(np.full((3, 3), -0.5))
-        assert degenerate
-        assert np.array_equal(out, sd.delta_kernel(3))
+    @pytest.mark.parametrize("raw", [np.full((3, 3), -0.5), np.zeros((3, 3)), np.full((2, 4), 1e-13)],
+                             ids=["negative", "zero", "tiny"])
+    def test_no_positive_mass_raises(self, raw):
+        with pytest.raises(sd.InvalidInputError, match="no positive mass"):
+            sd.project_kernel(raw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_raises(self, bad):
+        raw = np.ones((3, 3))
+        raw[0, 1] = bad
+        with pytest.raises(sd.InvalidInputError, match="finite"):
+            sd.project_kernel(raw)
+
+    def test_not_2d_raises(self):
+        with pytest.raises(sd.InvalidInputError):
+            sd.project_kernel(np.ones(5))
 
     def test_output_satisfies_invariants(self):
         rng = np.random.default_rng(0)
@@ -244,6 +256,13 @@ class TestKernelIrlsStep:
             if prev is not None:
                 assert resid <= prev + 1e-6
             prev = resid
+
+    @pytest.mark.parametrize("solution", [-1.0, 0.0, np.nan], ids=["negative", "zero", "nan"])
+    def test_degenerate_solution_raises_numerical_error(self, monkeypatch, solution):
+        grad_b, grad_s, _ = make_blur_instance()
+        monkeypatch.setattr(kernel_est, "cg_solve", lambda apply_a, b, iters: np.full_like(b, solution))
+        with pytest.raises(sd.NumericalError, match="degenerate kernel iterate"):
+            sd.kernel_irls_step(grad_b, grad_s, sd.delta_kernel(5), KernelEstParams(irls_iters=1))
 
     def test_degenerate_structure_raises(self):
         z = np.zeros((20, 20))

@@ -52,6 +52,22 @@ class TestSsde:
         err, _ = sd.ssde(k * 3.7, k)
         assert err <= 1e-12
 
+    def test_even_sided_true_kernel_scores_as_its_projection(self):
+        rng = np.random.default_rng(3)
+        k_true = rng.random((6, 4))
+        padded, _ = sd.project_kernel(k_true)
+        for k_est in (rng.random((7, 7)), rng.random((5, 5))):
+            assert sd.ssde(k_est, k_true) == sd.ssde(k_est, padded)
+
+    @pytest.mark.parametrize("bad, match", [(np.zeros((3, 3)), "no positive mass"),
+                                            (np.full((3, 3), -1.0), "no positive mass"),
+                                            (np.full((3, 3), np.nan), "finite")])
+    def test_kernel_that_is_not_a_kernel_raises(self, bad, match):
+        k = sd.kernel_preset("box", 3)
+        for args in ((bad, k), (k, bad)):
+            with pytest.raises(sd.InvalidInputError, match=match):
+                sd.ssde(*args)
+
 
 class TestPsnr:
     def test_identical_capped(self):

@@ -3,10 +3,11 @@
 Each cell is the built-in chart (``synth.test_chart``) at one size, blurred
 by one of the benchmark's kernels (``perfbench.inputs.kernel`` and
 ``perfbench.inputs.blur``) plus Gaussian noise drawn from
-``default_rng([1, image side, 100 * sigma])`` and clipped to [0, 1].  The
-kernel is estimated once per cell (``estimate_blur_kernel``), and three
-modes restore the cell through ``restore``, each from the structure of a
-full-frame latent under its kernel:
+``default_rng([seed, image side, 100 * sigma])`` and clipped to [0, 1];
+``run --seeds`` takes the noise seeds (default 1).  The kernel is estimated
+once per cell (``estimate_blur_kernel``), and three modes restore the cell
+through ``restore``, each from the structure of a full-frame latent under
+its kernel:
 
 * ``crop``: the true kernel, at the estimate's final threshold and
   smoothing strength.  The mode keeps its name so that runs of older trees
@@ -31,8 +32,11 @@ runs::
     python tools/restore_sweep.py compare ../before.json after.json
 
 ``compare`` prints every cell and, per mode and size, the mean over the
-noise levels of each kernel and of each preset (both l-curve kernels
-together); it exits 1 if a preset's mean falls.
+noise levels and seeds of each kernel and of each preset (both l-curve
+kernels together); it exits 1 if a preset's mean falls.  When the compared
+cells cover at least two seeds, it also prints each preset's mean blind-mode
+SSDE with its seed-to-seed spread (the range of the earlier run's per-seed
+means) and exits 1 if a mean rises by more than that spread.
 """
 
 from __future__ import annotations
@@ -55,22 +59,22 @@ SIGMAS = (0.01, 0.03)
 MODES = ("crop", "blind", "deconv")
 
 
-def cell_input(size: int, preset: str, ksize: int, sigma: float):
+def cell_input(size: int, preset: str, ksize: int, sigma: float, seed: int = 1):
     from salientdeblur.synth import test_chart
 
     sharp = test_chart(size)
     k = inputs.kernel(preset, ksize)
-    rng = np.random.default_rng([1, size, int(round(100 * sigma))])
+    rng = np.random.default_rng([seed, size, int(round(100 * sigma))])
     blurred = np.clip(inputs.blur(sharp, k) + rng.normal(0.0, sigma, size=sharp.shape), 0.0, 1.0)
     return sharp, k, blurred
 
 
-def run_cell(size: int, preset: str, ksize: int, sigma: float, modes) -> dict:
+def run_cell(size: int, preset: str, ksize: int, sigma: float, modes, seed: int = 1) -> dict:
     import salientdeblur as sd
 
-    sharp, k_true, blurred = cell_input(size, preset, ksize, sigma)
+    sharp, k_true, blurred = cell_input(size, preset, ksize, sigma, seed)
     config = sd.DeblurConfig(kernel_size=ksize)
-    row = {"size": size, "preset": preset, "ksize": ksize, "sigma": sigma}
+    row = {"size": size, "preset": preset, "ksize": ksize, "sigma": sigma, "seed": seed}
     started = time.perf_counter()
     result = sd.estimate_blur_kernel(blurred, config)
     row["estimate_s"] = time.perf_counter() - started
@@ -97,15 +101,16 @@ def cmd_run(args) -> int:
     for size in args.sizes:
         for preset, ksize in KERNELS:
             for sigma in SIGMAS:
-                row = run_cell(size, preset, ksize, sigma, args.modes)
-                rows.append(row)
-                print(json.dumps(row), file=sys.stderr)
+                for seed in args.seeds:
+                    row = run_cell(size, preset, ksize, sigma, args.modes, seed)
+                    rows.append(row)
+                    print(json.dumps(row), file=sys.stderr)
     Path(args.out).write_text(json.dumps({"source": salientdeblur.__file__, "rows": rows}, indent=1))
     return 0
 
 
 def _key(row):
-    return (row["size"], row["preset"], row["ksize"], row["sigma"])
+    return (row["size"], row["preset"], row["ksize"], row["sigma"], row.get("seed", 1))
 
 
 def cmd_compare(args) -> int:
@@ -116,11 +121,12 @@ def cmd_compare(args) -> int:
     worse = []
     for mode in modes:
         print("\n%s mode, PSNR (dB)\n" % mode)
-        print("| size | kernel | noise | before | after | change |")
-        print("|---|---|---|---|---|---|")
+        print("| size | kernel | noise | seed | before | after | change |")
+        print("|---|---|---|---|---|---|---|")
         for k in keys:
             b, a = before[k][mode], after[k][mode]
-            print("| %d² | %s %d | %g%% | %.2f | %.2f | %+.2f |" % (k[0], k[1], k[2], 100 * k[3], b, a, a - b))
+            print("| %d² | %s %d | %g%% | %d | %.2f | %.2f | %+.2f |"
+                  % (k[0], k[1], k[2], 100 * k[3], k[4], b, a, a - b))
         for width, label in ((3, "kernel"), (2, "preset")):
             print("\n| size | %s | mean before | mean after | change |" % label)
             print("|---|---|---|---|---|")
@@ -134,10 +140,33 @@ def cmd_compare(args) -> int:
         b = float(np.mean([before[k][mode] for k in keys]))
         a = float(np.mean([after[k][mode] for k in keys]))
         print("\nall %d cells: %.2f -> %.2f dB (%+.2f)" % (len(keys), b, a, a - b))
+    risen = _ssde_risen(before, after, keys)
     if worse:
         print("\nmean over noise fell: %s" % worse)
-        return 1
-    return 0
+    if risen:
+        print("\nmean blind SSDE rose past the seed spread: %s" % risen)
+    return 1 if worse or risen else 0
+
+
+def _ssde_risen(before, after, keys) -> list:
+    """Print each preset's mean blind-mode SSDE and the earlier run's
+    seed-to-seed spread; return the presets whose mean rose past it."""
+    if len({k[4] for k in keys}) < 2 or not all("ssde" in before[k] and "ssde" in after[k] for k in keys):
+        return []
+    print("\nblind-mode SSDE; spread: range of the earlier run's per-seed means\n")
+    print("| size | preset | mean before | mean after | change | spread |")
+    print("|---|---|---|---|---|---|")
+    risen = []
+    for group in dict.fromkeys(k[:2] for k in keys):
+        members = [k for k in keys if k[:2] == group]
+        seeds = dict.fromkeys(k[4] for k in members)
+        spread = float(np.ptp([np.mean([before[k]["ssde"] for k in members if k[4] == s]) for s in seeds]))
+        b = float(np.mean([before[k]["ssde"] for k in members]))
+        a = float(np.mean([after[k]["ssde"] for k in members]))
+        print("| %d² | %s | %.5f | %.5f | %+.5f | %.5f |" % (group[0], group[1], b, a, a - b, spread))
+        if len(seeds) >= 2 and a - b > spread:
+            risen.append(group)
+    return risen
 
 
 def main(argv=None) -> int:
@@ -147,6 +176,7 @@ def main(argv=None) -> int:
     run.add_argument("--out", required=True)
     run.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     run.add_argument("--modes", nargs="+", choices=MODES, default=list(MODES))
+    run.add_argument("--seeds", type=int, nargs="+", default=[1], help="noise seeds, each >= 0 (default 1)")
     cmp_ = sub.add_parser("compare", help="tabulate two runs and check the per-group means")
     cmp_.add_argument("before")
     cmp_.add_argument("after")
