@@ -72,9 +72,7 @@ def _build_config(args, kernel_size_required: bool = True) -> DeblurConfig:
             kernel_size = _DEFAULT_KERNEL_SIZE
         cfg = DeblurConfig(kernel_size=kernel_size)
     overrides = _overrides(args)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _overrides(args) -> dict:

@@ -163,7 +163,8 @@ def delta_kernel(size) -> np.ndarray:
 
 def _shift_zero(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
     """Integer shift of a 2D grid by (dy, dx); vacated cells are zero, mass
-    shifted past the frame is dropped."""
+    shifted past the frame is dropped.  Each shift must be smaller than the
+    grid's side on its axis."""
     out = np.zeros_like(a)
     h, w = a.shape
     ys = slice(max(dy, 0), min(h + dy, h))
@@ -184,20 +185,15 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n (keeps FFT sizes cheap)."""
-    best = None
-    p2 = 1
-    while p2 < 2 * n:
-        p23 = p2
-        while p23 < 2 * n:
-            p235 = p23
-            while p235 < n:
-                p235 *= 5
-            if best is None or p235 < best:
-                best = p235
-            p23 *= 3
-        p2 *= 2
-    return best
+    """Smallest 5-smooth integer >= n >= 1 (keeps FFT sizes cheap)."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _pad_replicate(a: np.ndarray, ry: int, rx: int, out: np.ndarray | None = None) -> np.ndarray:

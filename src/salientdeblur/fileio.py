@@ -261,8 +261,8 @@ def read_kernel(path) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise InvalidInputError("load: no such file: %s" % path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     try:
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]  # not text: a ValueError
         w, h = (int(tok) for tok in lines[0].split())
         rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
     except (ValueError, IndexError) as exc:

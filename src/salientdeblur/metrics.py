@@ -4,9 +4,9 @@ restoration error ratio.
 Kernel comparison projects both kernels (``project_kernel``), aligns them
 by the integer shift maximizing cross-correlation (blind estimation is
 shift-ambiguous), and sums squared differences.  The error ratio divides
-the restoration error obtained with the estimated kernel by the error
-obtained with the true kernel, using one common non-blind deconvolver for
-both sides.
+the restoration error obtained with the estimated kernel, as that alignment
+registered it, by the error obtained with the true kernel, using one common
+non-blind deconvolver for both sides.
 """
 
 from __future__ import annotations
@@ -50,13 +50,15 @@ def _embed_center(k: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _aligned_canvases(k_est, k_true):
+def _align(k_est, k_true):
     """Both kernels projected onto one centered canvas, k_est shifted into
     registration by the correlation-maximizing offset.
 
     The canvas carries half-a-side of extra margin in every direction, so no
     mass clips at any shift inside the search window; alignment is therefore
-    symmetric between the two arguments.
+    symmetric between the two arguments.  Returns (SSDE on the canvas, the
+    shift, the aligned k_est cropped to the canvas's centre at the larger
+    of the two kernels' sides on each axis, not projected again).
     """
     a, _ = project_kernel(k_est)
     b, _ = project_kernel(k_true)
@@ -65,19 +67,16 @@ def _aligned_canvases(k_est, k_true):
     canvas = side + 2 * radius
     ac = _embed_center(a, (canvas, canvas))
     bc = _embed_center(b, (canvas, canvas))
-    best_corr, best_shift = -np.inf, (0, 0)
+    best_corr, best_shift = 0.0, (0, 0)  # no overlap at any shift: k_est stays in place
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
             corr = float((_shift_zero(ac, dy, dx) * bc).sum())
             if corr > best_corr:
                 best_corr, best_shift = corr, (dy, dx)
-    return _shift_zero(ac, best_shift[0], best_shift[1]), bc, best_shift
-
-
-def _shifted(k_est, shift) -> np.ndarray:
-    """k_est projected, moved by ``shift`` in its own frame and projected again."""
-    aligned, _ = project_kernel(_shift_zero(project_kernel(k_est)[0], shift[0], shift[1]))
-    return aligned
+    aligned = _shift_zero(ac, best_shift[0], best_shift[1])
+    fh, fw = max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])
+    oy, ox = (canvas - fh) // 2, (canvas - fw) // 2
+    return float(((aligned - bc) ** 2).sum()), best_shift, aligned[oy : oy + fh, ox : ox + fw]
 
 
 def ssde(k_est, k_true) -> tuple:
@@ -86,8 +85,8 @@ def ssde(k_est, k_true) -> tuple:
     Kernels of different sizes are zero-padded onto a common centered canvas.
     Returns (error, (dy, dx)).
     """
-    aligned, reference, shift = _aligned_canvases(k_est, k_true)
-    return float(((aligned - reference) ** 2).sum()), shift
+    err, shift, _ = _align(k_est, k_true)
+    return err, shift
 
 
 def psnr(img, ref) -> float:
@@ -120,16 +119,16 @@ def error_ratio(restored, truth_restored, truth) -> float:
 def evaluate_kernels(k_est, k_true, blurred, sharp, lambda_c: float = COMMON_LAMBDA_C) -> EvalReport:
     """Score an estimated kernel against ground truth on one case.
 
-    Both restorations use the same TV deconvolver; the estimated kernel is
-    first registered to the true one (the report keeps the shift used).
+    Both restorations use the same TV deconvolver.  The estimated kernel is
+    the one ``ssde`` aligned: registered to the true one on the common
+    canvas, cropped to the larger kernel's frame and projected, so an
+    estimate of any size is scored (the report keeps the shift used).
     """
     gray_blur = to_grayscale(blurred)
     gray_sharp = to_grayscale(sharp)
-    err, shift = ssde(k_est, k_true)
-    aligned = _shifted(k_est, shift)
-    k_truth, _ = project_kernel(k_true)
-    restored_est = tv_deconv(gray_blur, aligned, lambda_c)
-    restored_true = tv_deconv(gray_blur, k_truth, lambda_c)
+    err, shift, aligned = _align(k_est, k_true)
+    restored_est = tv_deconv(gray_blur, project_kernel(aligned)[0], lambda_c)
+    restored_true = tv_deconv(gray_blur, project_kernel(k_true)[0], lambda_c)
     return EvalReport(
         ssde=err,
         psnr_db=psnr(np.clip(restored_est, 0.0, 1.0), gray_sharp),
@@ -148,11 +147,8 @@ def evaluate_case(case_dir, config: DeblurConfig | None = None) -> EvalReport:
     blurred = read_image(case_dir / "blurred.png")
     sharp = read_image(case_dir / "sharp.png")
     k_true = read_kernel(case_dir / "kernel_true.txt")
-    size = max(k_true.shape)
-    if size % 2 == 0:
-        size += 1
     if config is None:
-        config = DeblurConfig(kernel_size=size)
+        config = DeblurConfig(kernel_size=max(project_kernel(k_true)[0].shape))
     result = estimate_blur_kernel(blurred, config)
     return evaluate_kernels(result.kernel, k_true, blurred, sharp)
 

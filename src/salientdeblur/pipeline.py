@@ -43,14 +43,15 @@ SCALE_FACTOR = math.sqrt(2.0) / 2.0
 _MAX_RELAX = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeblurConfig:
     """The model weights of the blind pipeline; defaults follow the method's
     reference settings.  Salient edges are selected by gradient magnitude.
     Solver budgets, the kernel fit's alternation count ``KernelEstParams.itr``
     among them, are the defaults of the solvers that run them
     (``KernelEstParams``, ``adaptive_tv_denoise``) or, for the restorations,
-    constants of ``deconv``; ``shock_filter`` runs one fixed step."""
+    constants of ``deconv``; ``shock_filter`` runs one fixed step.  Every
+    field is checked when the config is made."""
 
     kernel_size: int
     theta0: float = 1.0
@@ -64,9 +65,9 @@ class DeblurConfig:
     mu: float | None = None          # None: size-based schedule per level
     threshold: float | None = None   # None: adaptive initialization
 
-    def validate(self) -> "DeblurConfig":
+    def __post_init__(self):
         """Check every field, the pyramid's and the window's with the checks
-        that ``build_schedule`` and ``r_map`` run; returns the config."""
+        that ``build_schedule`` and ``r_map`` run."""
         _check_schedule(self.kernel_size, self.theta0, self.decay, self.inner_iters, "config")
         _check_window(self.window, "config")
         for name in ("lambda_c", "lambda_final"):
@@ -76,7 +77,6 @@ class DeblurConfig:
         for name in ("mu", "threshold"):
             if getattr(self, name) is not None:
                 _check_real(getattr(self, name), "config: " + name, 0, closed=True)
-        return self
 
     def kernel_params(self, level_kernel_size: int) -> KernelEstParams:
         mu = self.mu if self.mu is not None else mu_schedule(level_kernel_size)
@@ -128,7 +128,11 @@ def load_config(path, kernel_size: int | None = None) -> DeblurConfig:
     path = Path(path)
     if not path.is_file():
         raise InvalidInputError("config: no such file: %s" % path)
-    return parse_config_text(path.read_text(), kernel_size=kernel_size)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError("config: %s is not a text file" % path) from exc
+    return parse_config_text(text, kernel_size=kernel_size)
 
 
 @dataclass(frozen=True)
@@ -257,7 +261,6 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
     called as progress(level_index, inner_index, kernel, threshold) after
     every inner iteration.
     """
-    config.validate()
     gray = to_grayscale(_unit_image(image))
     schedule = build_schedule(gray.shape, config.kernel_size, config.theta0,
                               config.decay, config.inner_iters)
@@ -333,7 +336,6 @@ def restore(image, kernel, config: DeblurConfig, *, theta: float | None = None,
     restored image, clipped to [0, 1], and the structure field.  Neither the
     gray frame nor the latent is held through the restoration.
     """
-    config.validate()
     img = np.asarray(image, dtype=np.float64)
     _unit_image(img)
     _check_out(out, img.shape)
@@ -358,7 +360,6 @@ def deblur_blind(image, config: DeblurConfig, crop=None, progress=None, *, out=N
     that may be the image itself (read for the last time by the
     restoration).  Returns (kernel, restored, grad_s).
     """
-    config.validate()
     img = np.asarray(image, dtype=np.float64)
     _unit_image(img)
     _check_out(out, img.shape)

@@ -8,6 +8,7 @@ import numpy as np
 
 from .core import _check_count, _check_kernel_weights, _check_real, as_image, convolve
 from .errors import InvalidInputError
+from .kernel_est import project_kernel
 
 KERNEL_PRESETS = ("line-h", "line-d", "box", "l-curve")
 
@@ -86,7 +87,7 @@ def kernel_preset(name: str, size: int) -> np.ndarray:
         arm = max(2, size // 2 - 1)
         k[c - arm : c + 1, c - arm // 2] = 1.0
         k[c, c - arm // 2 : c - arm // 2 + arm + 1] = 1.0
-    return k / k.sum()
+    return project_kernel(k)[0]
 
 
 def synthesize(sharp, kernel, noise_sigma: float = 0.0, seed: int = 0) -> np.ndarray:

@@ -302,11 +302,14 @@ def tv_energy_direct(u, mag, f, lam):
 
 
 def align_kernel(k_est, k_true):
-    """k_est normalized and shifted into registration with k_true (same frame)."""
-    from salientdeblur.metrics import _aligned_canvases, _shifted
+    """k_est registered to k_true on the library's alignment canvas, cropped
+    to the larger kernel's frame and projected; returns (kernel, shift)."""
+    from salientdeblur.kernel_est import project_kernel
+    from salientdeblur.metrics import _align
 
-    _, _, shift = _aligned_canvases(k_est, k_true)
-    return _shifted(k_est, shift), shift
+    _, shift, aligned = _align(k_est, k_true)
+    return project_kernel(aligned)[0], shift
+
 
 
 def check_kernel(kernel):

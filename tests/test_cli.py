@@ -62,14 +62,15 @@ def _offered(command) -> set:
 
 
 def _config_reads(monkeypatch, argv) -> set:
-    """The config fields one successful run reads, outside ``DeblurConfig.validate``."""
+    """The config fields one successful run reads, outside the checks a
+    ``DeblurConfig`` runs when it is made."""
     reads, validating = set(), []
-    validate = sd.DeblurConfig.validate
+    check = sd.DeblurConfig.__post_init__
 
-    def recording_validate(self):
+    def recording_check(self):
         validating.append(True)
         try:
-            return validate(self)
+            check(self)
         finally:
             validating.pop()
 
@@ -79,7 +80,7 @@ def _config_reads(monkeypatch, argv) -> set:
         return object.__getattribute__(self, name)
 
     with monkeypatch.context() as m:
-        m.setattr(sd.DeblurConfig, "validate", recording_validate)
+        m.setattr(sd.DeblurConfig, "__post_init__", recording_check)
         m.setattr(sd.DeblurConfig, "__getattribute__", recording_getattribute)
         assert run(argv) == 0
     return reads
@@ -297,6 +298,21 @@ class TestErrors:
                  "--kernel-size", "7", flag, value])
         assert info.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["kernel", "config"])
+    def test_file_that_is_not_text_exit_2(self, which, tmp_path, capsys):
+        # a raw UnicodeDecodeError escaped both readers
+        img, kernel, bad = tmp_path / "img.png", tmp_path / "k.txt", tmp_path / "bad.txt"
+        sd.write_image(img, sd.test_chart(64))
+        sd.write_kernel(kernel, sd.kernel_preset("box", 5))
+        bad.write_bytes(b"5 5\n\x80\xff\n")
+        argv = ["deconv", "--input", str(img), "--output", str(tmp_path / "o.png"),
+                "--kernel", str(bad if which == "kernel" else kernel)]
+        if which == "config":
+            argv += ["--config", str(bad)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
 
     def test_non_finite_config_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import salientdeblur as sd
-from salientdeblur.core import periodic_gradients
+from salientdeblur.core import _fast_len, periodic_gradients
 
 from oracles import FFT2Blur, check_kernel, naive_convolve
 
@@ -386,6 +386,13 @@ class TestKernelHelpers:
         k[1, 1] = 1.1
         with pytest.raises(sd.InvalidInputError):
             check_kernel(k)
+
+
+def test_fast_len_is_the_next_5_smooth_number():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6)
+                    if 2**a * 3**b * 5**c < 10000)
+    for n in range(1, 5000):
+        assert _fast_len(n) == next(m for m in smooth if m >= n)
 
 
 def test_no_nan_inf_from_finite_inputs():

@@ -3,7 +3,8 @@ import pytest
 
 import salientdeblur as sd
 from salientdeblur import metrics
-from salientdeblur.metrics import cumulative_table, evaluate_kernels
+from salientdeblur.cli import main
+from salientdeblur.metrics import COMMON_LAMBDA_C, EvalReport, cumulative_table, evaluate_kernels
 
 from oracles import align_kernel
 
@@ -140,8 +141,8 @@ class TestEvaluation:
 
     def test_evaluate_kernels_on_synthetic(self, monkeypatch):
         calls = []
-        real = metrics._aligned_canvases
-        monkeypatch.setattr(metrics, "_aligned_canvases", lambda *a: calls.append(1) or real(*a))
+        real = metrics._align
+        monkeypatch.setattr(metrics, "_align", lambda *a: calls.append(1) or real(*a))
         chart = sd.test_chart(96)
         k_true = sd.kernel_preset("line-h", 7)
         blurred = sd.synthesize(chart, k_true, noise_sigma=0.01, seed=8)
@@ -176,3 +177,87 @@ class TestEvaluation:
     def test_empty_directory_is_error(self, tmp_path):
         with pytest.raises(sd.InvalidInputError):
             sd.evaluate_directory(tmp_path)
+
+
+def _corner_truth(corner):
+    """A 9x9 true kernel whose mass is a 2x2 block in one corner."""
+    k = np.zeros((9, 9))
+    rows = slice(7, 9) if corner[0] else slice(0, 2)
+    cols = slice(7, 9) if corner[1] else slice(0, 2)
+    k[rows, cols] = 0.25
+    return k
+
+
+def _corner_delta(corner):
+    k = np.zeros((3, 3))
+    k[2 * corner[0], 2 * corner[1]] = 1.0
+    return k
+
+
+class TestSmallEstimate:
+    """Estimates smaller than the true kernel: the error ratio restores with
+    the kernel that SSDE's canvas aligned, not one shifted in its own frame."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        chart = sd.test_chart(96)
+        return chart, {corner: sd.synthesize(chart, _corner_truth(corner), noise_sigma=0.01, seed=1)
+                       for corner in ((1, 1), (0, 0))}
+
+    @pytest.mark.parametrize("k_est, corner, shift", [
+        (sd.delta_kernel(3), (1, 1), (3, 3)),          # shifted past its own 3x3 frame
+        (_corner_delta((1, 1)), (1, 1), (2, 2)),
+        (_corner_delta((1, 1)), (0, 0), (-4, -4)),     # opposite corners
+    ])
+    def test_scores_a_3x3_estimate_against_a_9x9_truth(self, scene, k_est, corner, shift):
+        chart, blurred = scene
+        k_true = _corner_truth(corner)
+        report = evaluate_kernels(k_est, k_true, blurred[corner], chart)
+        assert (report.ssde, report.alignment_shift) == sd.ssde(k_est, k_true) == (0.75, shift)
+        assert np.isfinite(report.psnr_db) and np.isfinite(report.error_ratio)
+        aligned, _ = align_kernel(k_est, k_true)
+        assert aligned.shape == (9, 9) and aligned.sum() == 1.0
+
+    @pytest.mark.parametrize("side", [3, 9])
+    def test_estimate_that_overlaps_at_no_shift_stays_in_place(self, scene, side):
+        # the first shift searched, (-4, -4), won every tie at zero correlation
+        # and moved all the mass out of the frame: "no positive mass"
+        chart, blurred = scene
+        k_est, k_true = np.zeros((side, side)), np.zeros((9, 9))
+        k_est[0, 0] = k_true[8, 8] = 1.0
+        report = evaluate_kernels(k_est, k_true, blurred[(1, 1)], chart)
+        assert (report.ssde, report.alignment_shift) == (2.0, (0, 0))
+        assert np.isfinite(report.psnr_db) and np.isfinite(report.error_ratio)
+
+    def test_eval_with_a_smaller_kernel_size_exits_0(self, scene, tmp_path, capsys):
+        chart, blurred = scene
+        case = tmp_path / "ds" / "corner"
+        case.mkdir(parents=True)
+        sd.write_image(case / "blurred.png", blurred[(1, 1)], bit_depth=16)
+        sd.write_image(case / "sharp.png", chart, bit_depth=16)
+        sd.write_kernel(case / "kernel_true.txt", _corner_truth((1, 1)))
+        assert main(["eval", "--input", str(tmp_path / "ds"), "--kernel-size", "3",
+                     "--output", str(tmp_path / "report.csv")]) == 0
+        row = (tmp_path / "report.csv").read_text().splitlines()[1].split(",")
+        assert row[0] == "corner" and all(np.isfinite(float(v)) for v in row[1:])
+
+
+def test_equal_sizes_score_as_the_shift_in_the_estimates_own_frame():
+    # the error ratio's kernel was the estimate projected, shifted in its own
+    # frame and projected again; an estimate at least as large as the truth
+    # loses to the crop only the mass that its own frame dropped, so the
+    # report is the former one bit for bit
+    rng = np.random.default_rng(11)
+    chart = sd.test_chart(64)
+    for est_shape, true_shape in (((5, 5), (5, 5)), ((7, 7), (7, 7)), ((7, 5), (7, 5)), ((9, 9), (5, 7))):
+        k_est, k_true = rng.random(est_shape) ** 4, rng.random(true_shape) ** 4
+        blurred = sd.synthesize(chart, sd.project_kernel(k_true)[0], noise_sigma=0.01, seed=2)
+        err, shift = sd.ssde(k_est, k_true)
+        former = sd.project_kernel(shifted(sd.project_kernel(k_est)[0], *shift))[0]
+        assert np.array_equal(align_kernel(k_est, k_true)[0], former)
+        restored_est = sd.tv_deconv(blurred, former, COMMON_LAMBDA_C)
+        restored_true = sd.tv_deconv(blurred, sd.project_kernel(k_true)[0], COMMON_LAMBDA_C)
+        expected = EvalReport(ssde=err, psnr_db=sd.psnr(np.clip(restored_est, 0.0, 1.0), chart),
+                              error_ratio=sd.error_ratio(restored_est, restored_true, chart),
+                              alignment_shift=shift)
+        assert evaluate_kernels(k_est, k_true, blurred, chart) == expected

@@ -72,7 +72,7 @@ class TestBuildSchedule:
         ({"theta0": "1"}, "theta0"), ({"theta0": True}, "theta0"), ({"decay": "2"}, "decay"),
     ])
     def test_rejects_what_config_rejects(self, kwargs, name):
-        # the ranges of DeblurConfig.validate; nan levels, a raw
+        # the ranges DeblurConfig checks; nan levels, a raw
         # ZeroDivisionError or TypeError, and a bool theta0 taken as 1.0 were
         # the results before
         args = {"image_shape": (64, 64), "kernel_size": 9, **kwargs}
@@ -83,7 +83,6 @@ class TestBuildSchedule:
 class TestConfig:
     def test_defaults_valid(self):
         cfg = sd.DeblurConfig(kernel_size=15)
-        cfg.validate()
         assert cfg.theta0 == 1.0
         assert cfg.lambda_c == 0.005
         assert cfg.lambda_final == 0.003
@@ -95,11 +94,11 @@ class TestConfig:
 
     def test_validation_errors(self):
         with pytest.raises(sd.InvalidInputError):
-            sd.DeblurConfig(kernel_size=8).validate()
+            sd.DeblurConfig(kernel_size=8)
         with pytest.raises(sd.InvalidInputError):
-            sd.DeblurConfig(kernel_size=9, decay=1.0).validate()
+            sd.DeblurConfig(kernel_size=9, decay=1.0)
         with pytest.raises(sd.InvalidInputError):
-            sd.DeblurConfig(kernel_size=9, inner_iters=0).validate()
+            sd.DeblurConfig(kernel_size=9, inner_iters=0)
 
     @pytest.mark.parametrize("key, value", [
         ("mu", math.nan), ("theta0", math.inf), ("gamma", math.nan), ("lambda_c", math.nan),
@@ -109,7 +108,7 @@ class TestConfig:
     ])
     def test_validate_rejects_non_finite_and_mistyped(self, key, value):
         with pytest.raises(sd.InvalidInputError, match=key):
-            replace(sd.DeblurConfig(kernel_size=7), **{key: value}).validate()
+            replace(sd.DeblurConfig(kernel_size=7), **{key: value})
 
     def test_every_field_round_trips_through_config_text(self):
         base = sd.DeblurConfig(kernel_size=7)

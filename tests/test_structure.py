@@ -338,10 +338,10 @@ def test_stages_reject_non_finite_images(stage, bad):
 
 
 def test_config_validates_structure_ranges():
-    sd.DeblurConfig(kernel_size=7).validate()
+    sd.DeblurConfig(kernel_size=7)
     for bad in ({"theta0": 0.0}, {"window": 4}):
         with pytest.raises(sd.InvalidInputError):
-            sd.DeblurConfig(kernel_size=7, **bad).validate()
+            sd.DeblurConfig(kernel_size=7, **bad)
 
 
 class TestWorkingSet:

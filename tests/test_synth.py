@@ -55,6 +55,14 @@ class TestKernelPresets:
         check_kernel(k)
         assert k.shape == (size, size)
 
+    @pytest.mark.parametrize("name", KERNEL_PRESETS)
+    def test_presets_are_their_uniform_support_over_its_sum(self, name):
+        # the projection keeps the bits of the former k / k.sum()
+        for size in range(3, 32, 2):
+            k = sd.kernel_preset(name, size)
+            support = (k > 0).astype(np.float64)
+            assert np.array_equal(k, support / support.sum())
+
     def test_line_d_is_diagonal(self):
         k = sd.kernel_preset("line-d", 15)
         nz = np.argwhere(k > 0)
