@@ -51,7 +51,6 @@ from .structure import (
     adaptive_tv_denoise,
     init_threshold,
     r_map,
-    salient_mask,
     select_salient_edges,
     shock_filter,
     smooth_weight,
@@ -72,7 +71,7 @@ __all__ = [
     "EvalReport", "error_ratio", "evaluate_directory", "psnr", "ssde",
     "DeblurConfig", "ScaleLevel", "ScaleSchedule", "build_schedule", "deblur_blind",
     "estimate_blur_kernel", "load_config", "restore",
-    "adaptive_tv_denoise", "init_threshold", "r_map", "salient_mask", "select_salient_edges",
+    "adaptive_tv_denoise", "init_threshold", "r_map", "select_salient_edges",
     "shock_filter", "smooth_weight",
     "kernel_preset", "synthesize", "test_chart",
 ]

@@ -36,7 +36,6 @@ from .pipeline import (
     restore,
     structure_pass,
 )
-from .structure import salient_mask
 
 # Config keys settable by a flag of the same name; kernel_size has its own,
 # except on deconv, whose kernel file fixes it.
@@ -152,13 +151,14 @@ def _cmd_deconv(args) -> int:
 def _cmd_structure(args) -> int:
     cfg = _build_config(args, kernel_size_required=False)
     image = fileio.read_image(args.input)
-    structure, enhanced, t, grad_s = structure_pass(image, cfg)
+    structure, _, t, grad_s = structure_pass(image, cfg)
     prefix = Path(args.output)
     structure_path = prefix.with_name(prefix.name + "_structure.png")
     mask_path = prefix.with_name(prefix.name + "_mask.png")
     edges_path = prefix.with_name(prefix.name + "_edges.png")
     fileio.write_image(structure_path, np.clip(structure, 0.0, 1.0))
-    fileio.write_image(mask_path, salient_mask(enhanced, t).astype(float))
+    # the mask is the selection the kernel fit uses: the edges grad_s keeps
+    fileio.write_image(mask_path, (np.hypot(grad_s.gx, grad_s.gy) >= t).astype(float))
     fileio.write_image(edges_path, np.clip(poisson_reconstruct(grad_s), 0.0, 1.0))
     print("structure: wrote %s, %s, %s (threshold %.5f)"
           % (structure_path, mask_path, edges_path, t))

@@ -148,16 +148,11 @@ def _check_kernel_weights(kernel: np.ndarray, image_shape=None, *, positive_sum:
         raise InvalidInputError("kernel: weights must have a positive sum")
 
 
-def delta_kernel(size) -> np.ndarray:
-    """Centered unit impulse of the given odd size (int or (h, w))."""
-    sides = (size, size) if np.ndim(size) == 0 else tuple(size)
-    if len(sides) != 2:
-        raise InvalidInputError("kernel: delta size must be an int or (h, w), got %r" % (size,))
-    kh, kw = sides
-    for side in sides:
-        _check_count(side, 1, "kernel: delta side", odd=True)
-    k = np.zeros((kh, kw))
-    k[kh // 2, kw // 2] = 1.0
+def delta_kernel(size: int) -> np.ndarray:
+    """Centered unit impulse of the given odd side."""
+    _check_count(size, 1, "kernel: delta side", odd=True)
+    k = np.zeros((size, size))
+    k[size // 2, size // 2] = 1.0
     return k
 
 
@@ -199,14 +194,11 @@ def _fast_len(n: int) -> int:
 def _pad_replicate(a: np.ndarray, ry: int, rx: int, out: np.ndarray | None = None) -> np.ndarray:
     """Pad by ``ry`` rows and ``rx`` columns on each side, repeating the edge.
 
-    Writes into ``out`` when given; otherwise returns a new array, or ``a``
-    itself when there is nothing to pad.
+    Writes into ``out`` when given; otherwise returns a new array.
     """
     a = np.asarray(a)
     h, w = a.shape
     if out is None:
-        if ry == 0 and rx == 0:
-            return a
         out = np.empty((h + 2 * ry, w + 2 * rx), dtype=a.dtype)
     out[ry : ry + h, rx : rx + w] = a
     out[:ry, rx : rx + w] = a[0]
@@ -377,17 +369,16 @@ class BlurOperator:
 
 
 def resize(img, shape) -> np.ndarray:
-    """Bilinear resize to an explicit (h, w); no range clamping."""
+    """Bilinear resize of an (h, w) array to an explicit (h, w); no range clamping."""
     a = np.asarray(img, dtype=np.float64)
-    if a.ndim not in (2, 3) or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InvalidInputError("resample: expected a non-empty 2D or (h, w, c) array, got shape %s"
-                                % (a.shape,))
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise InvalidInputError("resample: expected a non-empty (h, w) array, got shape %s" % (a.shape,))
     if len(shape) != 2:
         raise InvalidInputError("resample: output shape must be (h, w), got %r" % (shape,))
     oh, ow = shape
     _check_count(oh, 1, "resample: output height")
     _check_count(ow, 1, "resample: output width")
-    h, w = a.shape[:2]
+    h, w = a.shape
 
     def axis_coords(n_in: int, n_out: int):
         src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
@@ -398,18 +389,14 @@ def resize(img, shape) -> np.ndarray:
 
     r0, r1, fr = axis_coords(h, oh)
     c0, c1, fc = axis_coords(w, ow)
-    if a.ndim == 3:
-        fr = fr[:, None, None]
-        fc = fc[None, :, None]
-    else:
-        fr = fr[:, None]
-        fc = fc[None, :]
+    fr = fr[:, None]
     rows = a[r0] * (1.0 - fr) + a[r1] * fr
     return rows[:, c0] * (1.0 - fc) + rows[:, c1] * fc
 
 
 def resample(img, factor: float) -> np.ndarray:
-    """Bilinear resampling by a scale factor; output clamped to [0, 1].
+    """Bilinear resampling of an (h, w) image by a scale factor; output
+    clamped to [0, 1].
 
     Output dimensions are round(dim * factor) (half away from zero); the same
     interpolation kernel serves both upsampling and downsampling.

@@ -11,6 +11,7 @@ ways and produces byte-identical files for identical inputs.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -145,20 +146,10 @@ def _read_png(path: Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pnm_tokens(blob: bytes):
-    pos = 0
-    while pos < len(blob):
-        ch = blob[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(blob) and not blob[pos : pos + 1].isspace():
-                pos += 1
-            yield blob[start:pos], pos
-    return
+    """The (token, end offset) pairs of a PNM file; a '#' that starts a token
+    starts a comment, which runs to the end of its line."""
+    matches = re.finditer(rb"#[^\n]*|[^\s#]\S*", blob)
+    return ((m[0], m.end()) for m in matches if not m[0].startswith(b"#"))
 
 
 def _read_pnm(path: Path) -> np.ndarray:

@@ -155,12 +155,27 @@ def _round_odd(x: float) -> int:
     return 2 * int(math.floor((x - 1.0) / 2.0 + 0.5)) + 1
 
 
-def _check_schedule(kernel_size, theta0, decay, inner_iters, where: str) -> None:
-    """The pyramid's parameters, for ``build_schedule`` and ``DeblurConfig``."""
+def _check_schedule(kernel_size, theta0, decay, inner_iters, where: str) -> int:
+    """The pyramid's parameters, for ``build_schedule`` and ``DeblurConfig``;
+    returns n, the number of sqrt(2)/2 steps to the coarsest level.  theta
+    falls by ``decay`` at each inner iteration of the n + 1 levels, to theta0 /
+    decay ** (inner_iters * (n + 1)) at the end: a normal float, with no overflow."""
     _check_count(kernel_size, 3, where + ": kernel_size", odd=True)
     _check_real(theta0, where + ": theta0", 0)
     _check_real(decay, where + ": decay", 1)
     _check_count(inner_iters, 1, where + ": inner_iters")
+    n = 0
+    try:
+        while kernel_size * SCALE_FACTOR ** n > 7.0:  # the coarsest kernel side is at most 7
+            n += 1
+        smallest = theta0 / float(decay) ** (int(inner_iters) * (n + 1))
+    except OverflowError:
+        smallest = 0.0
+    if not smallest >= np.finfo(np.float64).smallest_normal:
+        raise InvalidInputError("%s: theta0 / decay ** (inner_iters * levels) must be a normal float, got theta0 %r, "
+                                "decay %r, inner_iters %r and the levels of kernel_size %r"
+                                % (where, theta0, decay, inner_iters, kernel_size))
+    return n
 
 
 def build_schedule(image_shape, kernel_size: int, theta0: float = 1.0, decay: float = 1.1,
@@ -171,12 +186,9 @@ def build_schedule(image_shape, kernel_size: int, theta0: float = 1.0, decay: fl
     h, w = image_shape[0], image_shape[1]
     _check_count(h, 1, "schedule: image height")
     _check_count(w, 1, "schedule: image width")
-    _check_schedule(kernel_size, theta0, decay, inner_iters, "schedule")
+    n = _check_schedule(kernel_size, theta0, decay, inner_iters, "schedule")
     if kernel_size > h or kernel_size > w:
         raise InvalidInputError("schedule: kernel %d does not fit image %s" % (kernel_size, (h, w)))
-    n = 0
-    while kernel_size * SCALE_FACTOR ** n > 7.0:
-        n += 1
     levels = []
     for i in range(n + 1):
         power = n - i
@@ -230,19 +242,20 @@ def _extract_structure(image, omega, theta: float, threshold: float | None, kern
     """
     structure = adaptive_tv_denoise(image, theta, omega)
     enhanced = shock_filter(structure)
+    if threshold is None:
+        threshold = init_threshold(gradients(enhanced), enhanced.size, kernel_size ** 2)
     t = threshold
-    if t is None:
-        t = init_threshold(gradients(enhanced), enhanced.size, kernel_size ** 2)
-    for _ in range(_MAX_RELAX + 1):
+    for relaxation in range(_MAX_RELAX + 1):
+        if relaxation:
+            t = t / 2.0
         grad_s = select_salient_edges(enhanced, t)
         if np.any(grad_s.gx) or np.any(grad_s.gy):
             return structure, enhanced, t, grad_s
         if t == 0.0:
             break
-        t = t / 2.0
     raise TexturelessImageError(
-        "structure: no salient edges even after threshold relaxation; "
-        "the image is textureless or constant")
+        "structure: no salient edges at any threshold from %g down to %g; "
+        "the image is textureless or constant, or the threshold is too high" % (threshold, t))
 
 
 def _unit_image(image) -> np.ndarray:

@@ -205,21 +205,12 @@ def shock_filter(image) -> np.ndarray:
     return np.clip(np.subtract(a, speed, out=edge2), a.min(), a.max(), out=edge2)
 
 
-def _mask(g: GradientField, threshold: float) -> np.ndarray:
-    _check_real(threshold, "structure: threshold", 0, closed=True)
-    return np.hypot(g.gx, g.gy) >= threshold
-
-
-def salient_mask(enhanced, threshold: float) -> np.ndarray:
-    """Boolean mask of pixels whose gradient magnitude reaches the threshold."""
-    return _mask(gradients(_channel(enhanced, "salient_mask")), threshold)
-
-
 def select_salient_edges(enhanced, threshold: float) -> GradientField:
     """Gradient field of the enhanced structure, zeroed where the gradient
     magnitude falls below the threshold."""
     g = gradients(_channel(enhanced, "select_salient_edges"))
-    mask = _mask(g, threshold)
+    _check_real(threshold, "structure: threshold", 0, closed=True)
+    mask = np.hypot(g.gx, g.gy) >= threshold
     return GradientField(np.where(mask, g.gx, 0.0), np.where(mask, g.gy, 0.0))
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import salientdeblur as sd
+from salientdeblur import pipeline
 from salientdeblur.cli import build_parser, main
 from salientdeblur.fileio import _png_chunk
 
@@ -264,6 +265,26 @@ class TestErrors:
         assert rc == 1
         assert "structure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--decay", "1e100"], ["--inner-iters", "10000"], ["--theta0", "1e-320"]],
+                             ids=["decay", "inner-iters", "theta0"])
+    def test_theta_schedule_out_of_float_range_exit_2(self, flags, tmp_path, capsys):
+        # the first two ended in a raw OverflowError, the third ran with RuntimeWarnings
+        img = tmp_path / "b.png"
+        sd.write_image(img, sd.test_chart(64))
+        out = tmp_path / "k.txt"
+        rc = run(["estimate-kernel", "--input", str(img), "--output", str(out), "--kernel-size", "15"] + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: config: theta0 / decay" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_threshold_above_every_gradient_exit_1_names_thresholds(self, tmp_path, capsys):
+        # a gradient of a [0, 1] image is at most sqrt(2), below 50 / 2 ** 5
+        img = tmp_path / "b.png"
+        sd.write_image(img, sd.test_chart(64))
+        assert run(["structure", "--input", str(img), "--output", str(tmp_path / "m"), "--threshold", "50"]) == 1
+        assert "no salient edges at any threshold from 50 down to 1.5625" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("no_such_key = 3\n")
@@ -361,6 +382,17 @@ class TestSynth:
         run(["synth", "--chart", "96", "--noise-sigma", "0.01", "--seed", "2", "--output", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_input_image_source(self, tmp_path):
+        sharp = tmp_path / "sharp.png"
+        sd.write_image(sharp, sd.test_chart(64), bit_depth=16)
+        out = tmp_path / "b.png"
+        rc = run(["synth", "--input", str(sharp), "--preset", "box", "--kernel-size", "5",
+                  "--noise-sigma", "0.01", "--seed", "2", "--output", str(out)])
+        assert rc == 0
+        blurred = sd.synthesize(sd.read_image(sharp), sd.kernel_preset("box", 5), noise_sigma=0.01, seed=2)
+        sd.write_image(tmp_path / "expected.png", blurred, bit_depth=16)
+        assert out.read_bytes() == (tmp_path / "expected.png").read_bytes()
+
     def test_kernel_file_input(self, tmp_path):
         kpath = tmp_path / "k.txt"
         sd.write_kernel(kpath, sd.kernel_preset("box", 5))
@@ -453,6 +485,20 @@ class TestStructureCommand:
         mask = sd.read_image(tmp_path / "out_mask.png")
         assert set(np.unique(mask)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("threshold", [None, 0.0], ids=["adaptive", "zero"])
+    def test_mask_is_the_selected_edges(self, tmp_path, threshold):
+        # the mask marks the edges that the kernel fit uses
+        img = tmp_path / "img.png"
+        sd.write_image(img, sd.test_chart(64))
+        flags = [] if threshold is None else ["--threshold", str(threshold)]
+        assert run(["structure", "--input", str(img), "--output", str(tmp_path / "out")] + flags) == 0
+        cfg = sd.DeblurConfig(kernel_size=15, threshold=threshold)
+        _, _, t, grad_s = pipeline.structure_pass(sd.read_image(img), cfg)
+        mask = sd.read_image(tmp_path / "out_mask.png") == 1.0
+        assert np.array_equal(mask, np.hypot(grad_s.gx, grad_s.gy) >= t)
+        if threshold is None:
+            assert t > 0 and np.array_equal(mask, (grad_s.gx != 0) | (grad_s.gy != 0))
+
 
 class TestDeconvCommand:
     def test_restored_beats_blurred(self, tmp_path):
@@ -520,6 +566,27 @@ class TestEndToEnd:
         assert len(lines) == 2
         _, ssde_s, psnr_s, ratio_s = lines[1].split(",")
         assert np.isfinite(float(ssde_s)) and np.isfinite(float(psnr_s)) and np.isfinite(float(ratio_s))
+
+    def test_deblur_kernel_out_writes_both_kernel_files_there(self, small_case, tmp_path):
+        rc = run(["deblur", "--input", str(small_case / "ds" / "case" / "blurred.png"),
+                  "--output", str(tmp_path / "r.png"), "--kernel-size", "5",
+                  "--kernel-out", str(tmp_path / "est.txt")])
+        assert rc == 0
+        kernel = sd.read_kernel(tmp_path / "est.txt")
+        check_kernel(kernel)
+        assert np.array_equal(sd.read_image(tmp_path / "est.png") == 1.0, kernel == kernel.max())
+        assert not (tmp_path / "r_kernel.txt").exists() and not (tmp_path / "r_kernel.png").exists()
+
+    def test_verbose_prints_one_line_per_inner_iteration(self, small_case, tmp_path, capsys):
+        blurred = small_case / "ds" / "case" / "blurred.png"
+        rc = run(["deblur", "--input", str(blurred), "--output", str(tmp_path / "r.png"),
+                  "--kernel-size", "9", "--inner-iters", "2", "--verbose"])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        schedule = sd.build_schedule(sd.read_image(blurred).shape, 9, inner_iters=2)
+        expected = ["level %d iter %d: kernel %dx%d" % (li, it, level.kernel_size, level.kernel_size)
+                    for li, level in enumerate(schedule.levels) for it in range(2)]
+        assert len(schedule) == 2 and [line.split(", threshold ")[0] for line in lines] == expected
 
     def test_estimate_kernel_with_crop(self, tmp_path):
         blurred = sd.synthesize(sd.test_chart(128), sd.kernel_preset("line-h", 7),

@@ -20,7 +20,6 @@ SCALARS = [
     ("adaptive_deconv-lambda", "lambda", lambda v: sd.adaptive_deconv(_IMG, _K, _G, v), -1.0),
     ("adaptive_tv_denoise-theta", "theta", lambda v: sd.adaptive_tv_denoise(_IMG, v), 0.0),
     ("adaptive_tv_denoise-tol", "tol", lambda v: sd.adaptive_tv_denoise(_IMG, 0.5, tol=v), -1e-3),
-    ("salient_mask-threshold", "threshold", lambda v: sd.salient_mask(_IMG, v), -0.1),
     ("select_salient_edges-threshold", "threshold", lambda v: sd.select_salient_edges(_IMG, v), -0.1),
     ("KernelEstParams-gamma", "gamma", lambda v: sd.KernelEstParams(gamma=v), -0.01),
     ("KernelEstParams-mu", "mu", lambda v: sd.KernelEstParams(mu=v), -0.01),

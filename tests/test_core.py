@@ -60,9 +60,10 @@ class TestGradients:
         assert g.gx.strides == g.gy.strides == np.zeros_like(img).strides
 
 
-@pytest.mark.parametrize("size", [np.nan, 3.5, True, 4, 0, (3, 2.5), (5, 2), (3, 3, 3), None])
+@pytest.mark.parametrize("size", [np.nan, 3.5, True, 4, 0, (3, 2.5), (5, 2), (3, 3, 3), None, (5, 3)])
 def test_delta_kernel_rejects_bad_sizes(size):
-    # nan used to end in a raw ValueError, and 3.5 became a 3x3 kernel
+    # nan used to end in a raw ValueError, and 3.5 became a 3x3 kernel; the
+    # size is one odd side, since the (h, w) form had no caller
     with pytest.raises(sd.InvalidInputError, match="delta"):
         sd.delta_kernel(size)
 
@@ -110,6 +111,13 @@ class TestConvolve:
         img = rng.random((12, 13))
         for mode in ("spatial", "fft"):
             assert np.allclose(sd.convolve(img, sd.delta_kernel(5), mode), img, atol=1e-12)
+
+    def test_one_tap_kernel_pads_nothing(self):
+        # the replicate pad of a 1x1 kernel has zero width and copies the image
+        img = np.random.default_rng(1).random((12, 13))
+        out = sd.convolve(img, [[1.0]], "spatial")
+        assert np.array_equal(out, img) and not np.shares_memory(out, img)
+        assert np.allclose(sd.convolve(img, [[1.0]], "fft"), img, atol=1e-12)
 
     def test_uniform_kernel_on_constant(self):
         img = np.full((10, 10), 0.7)
@@ -324,12 +332,22 @@ class TestResample:
     @pytest.mark.parametrize("shape, size", [
         ((24, 24), (np.nan, 5)), ((24, 24), (5.0, 5)), ((24, 24), (5, 0)),
         ((24, 24, 3, 1), (5, 5)), ((24,), (5, 5)), ((0, 5), (3, 3)), ((24, 24), (5, 5, 5)),
+        ((24, 24, 3), (5, 5)),
     ])
     def test_resize_rejects_bad_shape(self, shape, size):
-        # a nan size or a 4-D image used to end in a raw ValueError
+        # a nan size or a 4-D image used to end in a raw ValueError; the
+        # pipeline resizes only gray frames and kernels, so a 3-channel image
+        # is refused too
         img = np.random.default_rng(8).random(shape)
         with pytest.raises(sd.InvalidInputError, match="resample"):
             sd.resize(img, size)
+
+    def test_resample_takes_one_channel(self):
+        # an (h, w, 1) stack is one channel, as at every image entry point
+        rgb = np.random.default_rng(8).random((12, 12, 3))
+        with pytest.raises(sd.InvalidInputError, match="resample"):
+            sd.resample(rgb, 0.5)
+        assert np.array_equal(sd.resample(rgb[:, :, :1], 0.5), sd.resample(rgb[:, :, 0], 0.5))
 
 
 class TestPoisson:

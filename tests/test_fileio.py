@@ -72,6 +72,22 @@ def test_png_filter_round_trip_bit_exact(tmp_path, depth, channels):
     assert np.array_equal(img, expect[:, :, 0] if channels == 1 else expect)
 
 
+@pytest.mark.parametrize("depth", [8, 16])
+@pytest.mark.parametrize("color_type, channels", [(4, 1), (6, 3)], ids=["gray-alpha", "rgba"])
+def test_png_alpha_is_dropped(tmp_path, depth, color_type, channels):
+    # gray+alpha reads as (h, w) and RGBA as (h, w, 3); the alpha samples
+    # are random, so they would show if kept
+    h, w = 5, 7
+    samples = np.random.default_rng(depth + color_type).integers(0, 2 ** depth, size=(h, w, channels + 1))
+    rows = samples.astype(">u1" if depth == 8 else ">u2").reshape(h, -1).view(np.uint8)
+    ihdr = struct.pack(">IIBBBBB", w, h, depth, color_type, 0, 0, 0)
+    idat = zlib.compress(b"".join(b"\x00" + row.tobytes() for row in rows))
+    path = tmp_path / "alpha.png"
+    path.write_bytes(_PNG_SIG + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", idat) + _png_chunk(b"IEND", b""))
+    expected = samples[:, :, :channels] / (2.0 ** depth - 1.0)
+    assert np.array_equal(sd.read_image(path), expected[:, :, 0] if channels == 1 else expected)
+
+
 def test_png_rejects_unknown_filter(tmp_path):
     ihdr = struct.pack(">IIBBBBB", 3, 1, 8, 0, 0, 0, 0)
     blob = (_PNG_SIG + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", zlib.compress(b"\x05\x01\x02\x03"))
@@ -137,6 +153,23 @@ def test_pnm_samples_outside_maxval_rejected(tmp_path, name, blob):
     path.write_bytes(blob)
     with pytest.raises(sd.InvalidInputError, match=r"outside \[0, \d+\]"):
         sd.read_image(path)
+
+
+def test_pnm_comment_runs_to_line_end_and_only_starts_a_token(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P2\n# a comment 7 7\n2 1 # trailing\n255#\n0 255\n")
+    with pytest.raises(sd.InvalidInputError, match="malformed PNM header"):
+        sd.read_image(path)  # '255#' is one token: a '#' inside a token is not a comment
+    path.write_bytes(b"P2\n# a comment 7 7\n2 1 # trailing\n255\n0 255\n")
+    assert np.array_equal(sd.read_image(path), [[0.0, 1.0]])
+
+
+def test_single_channel_stack_writes_as_gray(tmp_path):
+    img = np.random.default_rng(4).random((6, 5))
+    for suffix in (".png", ".pgm"):
+        sd.write_image(tmp_path / ("stack" + suffix), img[:, :, None])
+        sd.write_image(tmp_path / ("gray" + suffix), img)
+        assert (tmp_path / ("stack" + suffix)).read_bytes() == (tmp_path / ("gray" + suffix)).read_bytes()
 
 
 def test_missing_file_names_path(tmp_path):

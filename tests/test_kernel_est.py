@@ -175,7 +175,8 @@ class TestGramSystem:
         # same CG iterates up to roundoff whichever operator applies the data term
         grad_b, grad_s, _ = make_blur_instance(seed=14, shape=(37, 45), kernel=np.full((5, 3), 1 / 15))
         params = KernelEstParams(gamma=0.01, alpha=0.5, mu=0.0, itr=1, irls_iters=3, cg_iters=25)
-        k0 = sd.delta_kernel((5, 3))
+        k0 = np.zeros((5, 3))
+        k0[2, 1] = 1.0  # a centred 5x3 impulse
         ref = sd.kernel_irls_step(grad_b, grad_s, k0, params, system=FFTEdgeSystem(grad_b, grad_s, (5, 3)))
         k = sd.kernel_irls_step(grad_b, grad_s, k0, params)
         assert np.abs(k - ref).max() <= 1e-12

@@ -70,14 +70,27 @@ class TestBuildSchedule:
         ({"inner_iters": 0}, "inner_iters"), ({"inner_iters": 2.0}, "inner_iters"),
         ({"image_shape": (math.nan, 64)}, "height"), ({"image_shape": (64, 0)}, "width"),
         ({"theta0": "1"}, "theta0"), ({"theta0": True}, "theta0"), ({"decay": "2"}, "decay"),
+        ({"decay": 1e100}, "decay"), ({"inner_iters": 10000}, "inner_iters"), ({"theta0": 1e-320}, "theta0"),
+        ({"kernel_size": 10 ** 400 + 1}, "kernel_size"),
     ])
     def test_rejects_what_config_rejects(self, kwargs, name):
         # the ranges DeblurConfig checks; nan levels, a raw
         # ZeroDivisionError or TypeError, and a bool theta0 taken as 1.0 were
-        # the results before
+        # the results before; a theta schedule whose power overflows (raw
+        # OverflowError) or whose last theta is subnormal (the TV split
+        # returned its input) too
         args = {"image_shape": (64, 64), "kernel_size": 9, **kwargs}
         with pytest.raises(sd.InvalidInputError, match=name):
             sd.build_schedule(**args)
+
+    @pytest.mark.parametrize("kernel_size, levels", [(3, 1), (15, 4)])
+    def test_smallest_theta_counts_every_level(self, kernel_size, levels):
+        # theta0 / 2 ** levels is the final theta at one inner iteration per level
+        tiny = np.finfo(np.float64).smallest_normal
+        sd.DeblurConfig(kernel_size=kernel_size, theta0=tiny * 2.0 ** levels, decay=2.0, inner_iters=1)
+        with pytest.raises(sd.InvalidInputError, match="normal float"):
+            sd.DeblurConfig(kernel_size=kernel_size, theta0=tiny * 2.0 ** (levels - 1), decay=2.0, inner_iters=1)
+        assert len(sd.build_schedule((64, 64), kernel_size)) == levels
 
 
 class TestConfig:
@@ -104,7 +117,7 @@ class TestConfig:
         ("mu", math.nan), ("theta0", math.inf), ("gamma", math.nan), ("lambda_c", math.nan),
         ("lambda_final", math.nan), ("threshold", math.nan), ("decay", math.inf),
         ("kernel_size", 7.0), ("inner_iters", True), ("inner_iters", None), ("alpha", "0.5"),
-        ("window", 5.0), ("alpha", math.inf),
+        ("window", 5.0), ("alpha", math.inf), ("decay", 1e100), ("inner_iters", 10000), ("theta0", 1e-320),
     ])
     def test_validate_rejects_non_finite_and_mistyped(self, key, value):
         with pytest.raises(sd.InvalidInputError, match=key):
@@ -342,6 +355,35 @@ class TestPipeline:
 
 
 
+class TestThresholdRelaxation:
+    """A threshold that keeps no edge is halved, at most ``_MAX_RELAX`` times."""
+
+    IMAGE = sd.test_chart(64)
+
+    def _pass(self, threshold=None):
+        return pipeline.structure_pass(self.IMAGE, sd.DeblurConfig(kernel_size=5, threshold=threshold))
+
+    def _peak(self) -> float:
+        """The largest gradient magnitude of the enhanced image, which the threshold does not change."""
+        g = sd.gradients(self._pass()[1])
+        return float(np.hypot(g.gx, g.gy).max())
+
+    def test_threshold_above_every_gradient_is_halved_until_edges_appear(self):
+        peak = self._peak()
+        _, _, t, grad_s = self._pass(3.0 * peak)
+        assert t == 0.75 * peak  # 3 peak and 1.5 peak keep nothing
+        assert np.any(grad_s.gx) or np.any(grad_s.gy)
+
+    def test_textureless_past_the_last_halving(self):
+        peak = self._peak()
+        top = peak * 2.0 ** pipeline._MAX_RELAX
+        assert self._pass(top)[2] == peak  # the last halving reaches the peak, which is kept
+        with pytest.raises(sd.TexturelessImageError) as info:
+            self._pass(2.0 * top)
+        # the message names the first and the last threshold tried
+        assert "from %g down to %g" % (2.0 * top, 2.0 * peak) in str(info.value)
+
+
 def _blurred_pair(color):
     """A small blurred chart, gray or RGB, and the line-h 5 kernel."""
     chart = sd.test_chart(64)
@@ -362,6 +404,14 @@ class TestRestore:
         restored_2, grad_s_2 = sd.restore(blurred, result.kernel, cfg, theta=result.theta,
                                           threshold=result.threshold)
         assert np.array_equal(kernel, result.kernel) and np.array_equal(restored, restored_2)
+        assert np.array_equal(grad_s.gx, grad_s_2.gx) and np.array_equal(grad_s.gy, grad_s_2.gy)
+
+    def test_single_channel_stack_restores_as_gray(self):
+        blurred, kernel = _blurred_pair(False)
+        cfg = sd.DeblurConfig(kernel_size=5)
+        restored, grad_s = sd.restore(blurred[:, :, None], kernel, cfg)
+        restored_2, grad_s_2 = sd.restore(blurred, kernel, cfg)
+        assert restored.shape == blurred.shape + (1,) and np.array_equal(restored[:, :, 0], restored_2)
         assert np.array_equal(grad_s.gx, grad_s_2.gx) and np.array_equal(grad_s.gy, grad_s_2.gy)
 
     def test_defaults_are_the_configs_theta0_and_threshold(self):

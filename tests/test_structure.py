@@ -245,7 +245,7 @@ class TestSelectSalientEdges:
         g = sd.gradients(img)
         t = np.median(np.hypot(g.gx, g.gy))
         sel = sd.select_salient_edges(img, t)
-        mask = sd.salient_mask(img, t)
+        mask = np.hypot(g.gx, g.gy) >= t
         assert np.array_equal(sel.gx[mask], g.gx[mask])
         assert np.array_equal(sel.gy[mask], g.gy[mask])
         assert not sel.gx[~mask].any() and not sel.gy[~mask].any()
@@ -254,9 +254,8 @@ class TestSelectSalientEdges:
     def test_rejects_bad_threshold(self, threshold):
         # a nan threshold would give an all-False mask, and True thresholded at 1
         img = np.random.default_rng(7).random((10, 10))
-        for select in (sd.salient_mask, sd.select_salient_edges):
-            with pytest.raises(sd.InvalidInputError, match="threshold"):
-                select(img, threshold)
+        with pytest.raises(sd.InvalidInputError, match="threshold"):
+            sd.select_salient_edges(img, threshold)
 
 
 class TestInitThreshold:
@@ -297,6 +296,15 @@ class TestInitThreshold:
         z = np.zeros((30, 30))
         assert sd.init_threshold(sd.GradientField(z, z), 900, 25) == 0.0
 
+    def test_every_group_too_sparse_returns_zero(self):
+        # m = ceil(sqrt(900 * 25) / 2) = 75, and each direction group holds 10
+        gx, gy = np.zeros(900), np.zeros(900)
+        for b, (x, y) in enumerate([(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)]):  # 0, 45, 90, 135 degrees
+            gx[10 * b : 10 * b + 10], gy[10 * b : 10 * b + 10] = x, y
+        g = sd.GradientField(gx.reshape(30, 30), gy.reshape(30, 30))
+        assert sd.init_threshold(g, 900, 25) == 0.0
+        assert sd.init_threshold(g, 100, 1) == 1.0  # m = 5: every group qualifies, the axis ones at 1
+
     @pytest.mark.parametrize("image_pixels, kernel_pixels", [
         (np.nan, 9), (np.inf, 9), (576.0, 9), (576, 0), (0, 9), (576, True),
     ])
@@ -316,7 +324,7 @@ class TestInitThreshold:
 
 @pytest.mark.parametrize("stage", [
     lambda img: sd.adaptive_tv_denoise(img, 1.0), sd.shock_filter, sd.r_map,
-    lambda img: sd.select_salient_edges(img, 0.1), lambda img: sd.salient_mask(img, 0.1),
+    lambda img: sd.select_salient_edges(img, 0.1),
     lambda img: sd.poisson_reconstruct(sd.GradientField(img, np.zeros_like(img))),
     lambda img: sd.init_threshold(sd.GradientField(np.zeros_like(img), img), img.size, 9),
     lambda img: sd.psnr(np.zeros_like(img), img),
@@ -324,8 +332,8 @@ class TestInitThreshold:
     lambda img: sd.ssde(img[2:5, 2:5], np.full((3, 3), 1.0 / 9.0)),
     lambda img: evaluate_kernels(img[2:5, 2:5], np.full((3, 3), 1.0 / 9.0), np.full((16, 16), 0.5),
                                  np.full((16, 16), 0.5)),
-], ids=["adaptive_tv_denoise", "shock_filter", "r_map", "select_salient_edges", "salient_mask",
-        "poisson_reconstruct", "init_threshold", "psnr", "error_ratio", "ssde", "evaluate_kernels"])
+], ids=["adaptive_tv_denoise", "shock_filter", "r_map", "select_salient_edges", "poisson_reconstruct",
+        "init_threshold", "psnr", "error_ratio", "ssde", "evaluate_kernels"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stages_reject_non_finite_images(stage, bad):
     # these returned NaN arrays, an all-zero field, a NaN score or a threshold
