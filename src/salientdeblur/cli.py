@@ -151,7 +151,7 @@ def _cmd_deconv(args) -> int:
 def _cmd_structure(args) -> int:
     cfg = _build_config(args, kernel_size_required=False)
     image = fileio.read_image(args.input)
-    structure, _, t, grad_s = structure_pass(image, cfg)
+    structure, t, grad_s = structure_pass(image, cfg)
     prefix = Path(args.output)
     structure_path = prefix.with_name(prefix.name + "_structure.png")
     mask_path = prefix.with_name(prefix.name + "_mask.png")

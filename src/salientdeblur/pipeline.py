@@ -39,6 +39,10 @@ from .structure import (
 
 SCALE_FACTOR = math.sqrt(2.0) / 2.0
 
+# Weight of the interim TV restoration between kernel fits.  metrics.COMMON_LAMBDA_C
+# is equal but separate: the error ratio's deconvolver must not move with this one.
+LAMBDA_INTERIM = 0.005
+
 # Relaxation attempts (threshold halvings) before declaring an image textureless.
 _MAX_RELAX = 5
 
@@ -50,19 +54,18 @@ class DeblurConfig:
     Solver budgets, the kernel fit's alternation count ``KernelEstParams.itr``
     among them, are the defaults of the solvers that run them
     (``KernelEstParams``, ``adaptive_tv_denoise``) or, for the restorations,
-    constants of ``deconv``; ``shock_filter`` runs one fixed step.  Every
+    constants of ``deconv``; ``shock_filter`` runs one fixed step; ``mu`` is
+    ``mu_schedule`` per level and the interim weight ``LAMBDA_INTERIM``.  Every
     field is checked when the config is made."""
 
     kernel_size: int
     theta0: float = 1.0
-    lambda_c: float = 0.005
     lambda_final: float = 0.003
     gamma: float = 0.01
     alpha: float = 0.5
     inner_iters: int = 5
     decay: float = 1.1
     window: int = 5
-    mu: float | None = None          # None: size-based schedule per level
     threshold: float | None = None   # None: adaptive initialization
 
     def __post_init__(self):
@@ -70,17 +73,11 @@ class DeblurConfig:
         that ``build_schedule`` and ``r_map`` run."""
         _check_schedule(self.kernel_size, self.theta0, self.decay, self.inner_iters, "config")
         _check_window(self.window, "config")
-        for name in ("lambda_c", "lambda_final"):
-            _check_real(getattr(self, name), "config: " + name, 0)
+        _check_real(self.lambda_final, "config: lambda_final", 0)
         _check_real(self.gamma, "config: gamma", 0, closed=True)
         _check_real(self.alpha, "config: alpha", 0, 1)
-        for name in ("mu", "threshold"):
-            if getattr(self, name) is not None:
-                _check_real(getattr(self, name), "config: " + name, 0, closed=True)
-
-    def kernel_params(self, level_kernel_size: int) -> KernelEstParams:
-        mu = self.mu if self.mu is not None else mu_schedule(level_kernel_size)
-        return KernelEstParams(gamma=self.gamma, alpha=self.alpha, mu=mu)
+        if self.threshold is not None:
+            _check_real(self.threshold, "config: threshold", 0, closed=True)
 
 
 # The schema of config files and CLI flags: every field's value type, read
@@ -178,11 +175,11 @@ def _check_schedule(kernel_size, theta0, decay, inner_iters, where: str) -> int:
     return n
 
 
-def build_schedule(image_shape, kernel_size: int, theta0: float = 1.0, decay: float = 1.1,
-                   inner_iters: int = 5) -> ScaleSchedule:
+def build_schedule(image_shape, kernel_size: int, theta0: float = DeblurConfig.theta0,
+                   decay: float = DeblurConfig.decay, inner_iters: int = DeblurConfig.inner_iters) -> ScaleSchedule:
     """Coarse-to-fine pyramid: consecutive scales shrink by sqrt(2)/2 until the
-    kernel side lands in [3, 7]; per-level kernel sizes round to the nearest
-    odd integer (floored at 3)."""
+    kernel side lands in [3, 7]; a level's kernel side is the nearest odd
+    integer, at least 3 and at most the largest odd side its frame holds."""
     h, w = image_shape[0], image_shape[1]
     _check_count(h, 1, "schedule: image height")
     _check_count(w, 1, "schedule: image width")
@@ -195,9 +192,8 @@ def build_schedule(image_shape, kernel_size: int, theta0: float = 1.0, decay: fl
         scale = SCALE_FACTOR ** power
         ksize = kernel_size if power == 0 else max(3, _round_odd(kernel_size * scale))
         dims = (int(math.floor(h * scale + 0.5)), int(math.floor(w * scale + 0.5)))
-        if ksize > min(dims):
-            raise InvalidInputError("schedule: kernel %d does not fit level image %s" % (ksize, dims))
-        levels.append(ScaleLevel(image_shape=dims, kernel_size=ksize,
+        side = min(dims)
+        levels.append(ScaleLevel(image_shape=dims, kernel_size=min(ksize, side - 1 + side % 2),
                                  theta=theta0 / decay ** (inner_iters * i), scale=scale))
     return ScaleSchedule(levels=tuple(levels))
 
@@ -237,8 +233,7 @@ def _extract_structure(image, omega, theta: float, threshold: float | None, kern
 
     A ``threshold`` of None starts from the adaptive initialization for the
     kernel size; an empty edge field halves the threshold until edges
-    appear.  Returns (structure, enhanced, threshold used, salient gradient
-    field).
+    appear.  Returns (structure, threshold used, salient gradient field).
     """
     structure = adaptive_tv_denoise(image, theta, omega)
     enhanced = shock_filter(structure)
@@ -250,9 +245,12 @@ def _extract_structure(image, omega, theta: float, threshold: float | None, kern
             t = t / 2.0
         grad_s = select_salient_edges(enhanced, t)
         if np.any(grad_s.gx) or np.any(grad_s.gy):
-            return structure, enhanced, t, grad_s
+            return structure, t, grad_s
         if t == 0.0:
             break
+    if threshold == 0.0:
+        raise TexturelessImageError("structure: no salient edges: the smoothed image has no non-zero gradient; "
+                                    "the image is textureless or constant")
     raise TexturelessImageError(
         "structure: no salient edges at any threshold from %g down to %g; "
         "the image is textureless or constant, or the threshold is too high" % (threshold, t))
@@ -289,17 +287,17 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
             kernel, _ = project_kernel(resize(kernel, (level.kernel_size, level.kernel_size)))
         grad_b = gradients(blurred)
         omega = smooth_weight(r_map(blurred, config.window))
-        kparams = config.kernel_params(level.kernel_size)
+        kparams = KernelEstParams(gamma=config.gamma, alpha=config.alpha, mu=mu_schedule(level.kernel_size))
         theta = level.theta
         for it in range(config.inner_iters):
-            _, _, t, grad_s = _extract_structure(latent, omega, theta, t, level.kernel_size)
+            _, t, grad_s = _extract_structure(latent, omega, theta, t, level.kernel_size)
             kernel = estimate_kernel(grad_b, grad_s, kernel, kparams)
             # canonical representative of the shift-ambiguous blur pair; the
             # interim deconvolution below rebuilds the latent consistently
             kernel, _ = project_kernel(_recenter_kernel(kernel))
             # nothing reads the latent of the last level's last iteration
             if li + 1 < len(schedule.levels) or it + 1 < config.inner_iters:
-                latent = tv_deconv(blurred, kernel, config.lambda_c)
+                latent = tv_deconv(blurred, kernel, LAMBDA_INTERIM)
             t = t / config.decay
             theta = theta / config.decay
             if progress is not None:
@@ -309,8 +307,8 @@ def estimate_blur_kernel(image, config: DeblurConfig, progress=None) -> PyramidR
 
 def structure_pass(image, config: DeblurConfig, theta: float | None = None,
                    threshold: float | None = None):
-    """One full structure extraction on an image: returns (structure, enhanced,
-    mask threshold used, salient gradient field)."""
+    """One full structure extraction on an image: returns (structure, mask
+    threshold used, salient gradient field)."""
     gray = to_grayscale(image)
     omega = smooth_weight(r_map(gray, config.window))
     return _extract_structure(gray, omega, theta if theta is not None else config.theta0,
@@ -355,8 +353,8 @@ def restore(image, kernel, config: DeblurConfig, *, theta: float | None = None,
     k = np.asarray(kernel, dtype=np.float64)
     _check_kernel_weights(k, img.shape, positive_sum=True)
     latent = _l2_latent(to_grayscale(img), k)
-    _, _, _, grad_s = structure_pass(np.clip(latent, 0.0, 1.0, out=latent), config,
-                                     theta=theta, threshold=threshold)
+    _, _, grad_s = structure_pass(np.clip(latent, 0.0, 1.0, out=latent), config,
+                                  theta=theta, threshold=threshold)
     del latent
     restored = adaptive_deconv(img, k, grad_s, config.lambda_final, out=out)
     return np.clip(restored, 0.0, 1.0, out=restored), grad_s

@@ -29,7 +29,7 @@ class TestHelp:
         with pytest.raises(SystemExit):
             run(["deblur", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--kernel-size", "--crop", "--gamma", "--lambda-c", "--config"):
+        for flag in ("--kernel-size", "--crop", "--gamma", "--lambda-final", "--config"):
             assert flag in out
 
     def test_every_config_field_has_a_flag_of_its_type(self):
@@ -119,6 +119,7 @@ def test_override_flags_are_the_fields_the_command_reads(command, small_case, mo
 
 
 _REQUIRED = {
+    "deblur": ["--input", "b.png", "--output", "r.png"],
     "estimate-kernel": ["--input", "b.png", "--output", "k.txt"],
     "eval": ["--input", "ds"],
     "deconv": ["--input", "b.png", "--kernel", "k.txt", "--output", "r.png"],
@@ -127,6 +128,8 @@ _REQUIRED = {
 
 
 @pytest.mark.parametrize("command, flag", [
+    ("deblur", "--mu"), ("deblur", "--lambda-c"),
+    ("estimate-kernel", "--mu"), ("estimate-kernel", "--lambda-c"), ("eval", "--mu"), ("eval", "--lambda-c"),
     ("estimate-kernel", "--lambda-final"),
     ("eval", "--lambda-final"),
     ("deconv", "--gamma"), ("deconv", "--alpha"), ("deconv", "--inner-iters"), ("deconv", "--decay"),
@@ -137,7 +140,9 @@ _REQUIRED = {
 def test_unread_override_is_usage_error(command, flag, capsys):
     # these were parsed and range-checked, and then the command never read
     # them; deconv's --lambda-c and --method picked the TV restoration, and
-    # its kernel file fixes the kernel size
+    # its kernel file fixes the kernel size; --mu and --lambda-c are no
+    # config fields (the kernel fit's mu follows mu_schedule, the interim
+    # restoration's weight is pipeline.LAMBDA_INTERIM)
     with pytest.raises(SystemExit) as info:
         run([command] + _REQUIRED[command] + [flag, "3"])
     assert info.value.code == 2
@@ -145,8 +150,8 @@ def test_unread_override_is_usage_error(command, flag, capsys):
     assert "unrecognized arguments: %s" % flag in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [["--mu", "0.02"], ["--theta0", "-5", "--gamma", "1e9", "--window", "4"],
-                                   ["--threshold", "0.1"]], ids=["mu", "three", "threshold"])
+@pytest.mark.parametrize("flags", [["--decay", "1.2"], ["--theta0", "-5", "--gamma", "1e9", "--window", "4"],
+                                   ["--threshold", "0.1"]], ids=["decay", "three", "threshold"])
 def test_eval_override_without_config_exit_2(flags, small_case, tmp_path, capsys):
     # each case ran its default config: the flags were dropped unread, even out-of-range ones
     csv_path = tmp_path / "report.csv"
@@ -257,6 +262,18 @@ class TestErrors:
         assert "degenerate kernel iterate" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["deblur", "structure"])
+    def test_flat_image_says_it_has_no_gradient(self, command, tmp_path, capsys):
+        # the adaptive threshold of a flat image is 0; the message blamed a
+        # threshold "from 0 down to 0" that nobody set
+        flat = tmp_path / "flat.png"
+        sd.write_image(flat, np.full((40, 40), 0.5))
+        argv = ["--input", str(flat), "--output", str(tmp_path / "o.png")]
+        assert run([command] + argv + (["--kernel-size", "9"] if command == "deblur" else [])) == 1
+        assert capsys.readouterr().err == ("error: structure: no salient edges: the smoothed image has no non-zero "
+                                           "gradient; the image is textureless or constant\n")
+        assert list(tmp_path.iterdir()) == [flat]
+
     def test_textureless_image_exit_1(self, tmp_path, capsys):
         flat = tmp_path / "flat.png"
         sd.write_image(flat, np.full((64, 64), 0.5))
@@ -296,7 +313,7 @@ class TestErrors:
         assert "no_such_key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("cg_iters_final", "50"), ("mask_rule", "magnitude"), ("itr", "2"),
+        ("cg_iters_final", "50"), ("mask_rule", "magnitude"), ("itr", "2"), ("mu", "0.01"), ("lambda_c", "0.004"),
     ])
     def test_solver_budget_config_key_exit_2(self, key, value, tmp_path, capsys):
         # solver budgets are fixed in their solvers, and removed tunables are
@@ -337,13 +354,13 @@ class TestErrors:
 
     def test_non_finite_config_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("kernel_size = 7\nmu = nan\n")
+        cfg.write_text("kernel_size = 7\nalpha = nan\n")
         img = tmp_path / "img.png"
         sd.write_image(img, sd.test_chart(64))
         rc = run(["estimate-kernel", "--input", str(img), "--output", str(tmp_path / "k.txt"),
                   "--config", str(cfg)])
         assert rc == 2
-        assert "error: config: mu" in capsys.readouterr().err
+        assert "error: config: alpha" in capsys.readouterr().err
 
     def test_empty_crop_exit_2(self, tmp_path, capsys):
         img = tmp_path / "img.png"
@@ -493,7 +510,7 @@ class TestStructureCommand:
         flags = [] if threshold is None else ["--threshold", str(threshold)]
         assert run(["structure", "--input", str(img), "--output", str(tmp_path / "out")] + flags) == 0
         cfg = sd.DeblurConfig(kernel_size=15, threshold=threshold)
-        _, _, t, grad_s = pipeline.structure_pass(sd.read_image(img), cfg)
+        _, t, grad_s = pipeline.structure_pass(sd.read_image(img), cfg)
         mask = sd.read_image(tmp_path / "out_mask.png") == 1.0
         assert np.array_equal(mask, np.hypot(grad_s.gx, grad_s.gy) >= t)
         if threshold is None:
@@ -587,6 +604,14 @@ class TestEndToEnd:
         expected = ["level %d iter %d: kernel %dx%d" % (li, it, level.kernel_size, level.kernel_size)
                     for li, level in enumerate(schedule.levels) for it in range(2)]
         assert len(schedule) == 2 and [line.split(", threshold ")[0] for line in lines] == expected
+
+    def test_estimate_kernel_as_large_as_the_image(self, tmp_path):
+        # the pyramid refused it: "kernel 7 does not fit level image (6, 6)"
+        bpath, out = tmp_path / "b.png", tmp_path / "k.txt"
+        sd.write_image(bpath, sd.synthesize(sd.test_chart(64)[8:17, 8:17], sd.kernel_preset("box", 3)), bit_depth=16)
+        rc = run(["estimate-kernel", "--input", str(bpath), "--output", str(out), "--kernel-size", "9"])
+        assert rc == 0
+        assert check_kernel(sd.read_kernel(out)).shape == (9, 9)
 
     def test_estimate_kernel_with_crop(self, tmp_path):
         blurred = sd.synthesize(sd.test_chart(128), sd.kernel_preset("line-h", 7),

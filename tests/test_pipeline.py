@@ -58,6 +58,26 @@ class TestBuildSchedule:
         with pytest.raises(sd.InvalidInputError):
             sd.build_schedule((16, 16), 21)
 
+    @pytest.mark.parametrize("shape, kernel_size, coarsest", [
+        ((9, 9), 9, (6, 6)), ((17, 17), 17, (6, 6)), ((25, 25), 25, (6, 6)), ((33, 33), 33, (6, 6)),
+        ((9, 40), 9, (6, 28)),
+    ], ids=["9x9", "17x17", "25x25", "33x33", "9x40"])
+    def test_kernel_as_large_as_the_frame_fits_every_level(self, shape, kernel_size, coarsest):
+        # each was refused ("kernel 7 does not fit level image (6, 6)", 9 and
+        # (8, 8) for 33x33): a level's kernel side rounded up past its frame's
+        sched = sd.build_schedule(shape, kernel_size)
+        assert sched.levels[0].image_shape == coarsest and sched.levels[0].kernel_size == 5
+        assert sched.levels[-1].kernel_size == kernel_size
+
+    def test_level_kernel_fits_its_frame_and_keeps_its_rounding_otherwise(self):
+        for k in range(3, 102, 2):
+            shapes = [(k + d, k + d) for d in range(46)] + [(k + d, k + d + 7) for d in range(0, 46, 3)]
+            for shape in shapes:
+                for level in sd.build_schedule(shape, k).levels:
+                    rounded = k if level.scale == 1.0 else max(3, pipeline._round_odd(k * level.scale))
+                    assert 3 <= level.kernel_size <= min(level.image_shape) and level.kernel_size % 2 == 1
+                    assert level.kernel_size == rounded or rounded > min(level.image_shape)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(sd.InvalidInputError):
             sd.build_schedule((64, 64), 8)
@@ -97,13 +117,14 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = sd.DeblurConfig(kernel_size=15)
         assert cfg.theta0 == 1.0
-        assert cfg.lambda_c == 0.005
         assert cfg.lambda_final == 0.003
         assert cfg.gamma == 0.01
         assert cfg.alpha == 0.5
         assert cfg.inner_iters == 5
         assert cfg.decay == 1.1
         assert cfg.window == 5
+        assert cfg.threshold is None
+        assert len(fields(cfg)) == 9
 
     def test_validation_errors(self):
         with pytest.raises(sd.InvalidInputError):
@@ -114,8 +135,8 @@ class TestConfig:
             sd.DeblurConfig(kernel_size=9, inner_iters=0)
 
     @pytest.mark.parametrize("key, value", [
-        ("mu", math.nan), ("theta0", math.inf), ("gamma", math.nan), ("lambda_c", math.nan),
-        ("lambda_final", math.nan), ("threshold", math.nan), ("decay", math.inf),
+        ("theta0", math.inf), ("gamma", math.nan), ("lambda_final", math.nan), ("threshold", math.nan),
+        ("decay", math.inf),
         ("kernel_size", 7.0), ("inner_iters", True), ("inner_iters", None), ("alpha", "0.5"),
         ("window", 5.0), ("alpha", math.inf), ("decay", 1e100), ("inner_iters", 10000), ("theta0", 1e-320),
     ])
@@ -138,13 +159,13 @@ class TestConfig:
         assert parsed == cfg
         for k, v in changed.items():
             assert type(getattr(parsed, k)) is type(v)
-        assert parse_config_text("kernel_size = 7\nmu = none\nthreshold = None\n") == base
+        assert parse_config_text("kernel_size = 7\nthreshold = None\n") == base
 
     def test_parse_config_text(self):
-        cfg = parse_config_text("kernel_size = 11\ngamma = 0.02\n# comment\n\nmu = none\n")
+        cfg = parse_config_text("kernel_size = 11\ngamma = 0.02\n# comment\n\nthreshold = none\n")
         assert cfg.kernel_size == 11
         assert cfg.gamma == 0.02
-        assert cfg.mu is None
+        assert cfg.threshold is None
 
     def test_unknown_key_is_error(self):
         with pytest.raises(sd.InvalidInputError):
@@ -156,9 +177,9 @@ class TestConfig:
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("kernel_size = 9\nlambda_c = 0.004\n")
+        path.write_text("kernel_size = 9\nlambda_final = 0.004\n")
         cfg = sd.load_config(path)
-        assert cfg.lambda_c == 0.004
+        assert cfg.lambda_final == 0.004
 
 
 class TestPipeline:
@@ -185,6 +206,15 @@ class TestPipeline:
         result = sd.estimate_blur_kernel(blurred, sd.DeblurConfig(kernel_size=21))
         err, _ = sd.ssde(result.kernel, k_true)
         assert err <= 0.03
+
+    @pytest.mark.parametrize("shape", [(9, 9), (17, 17), (25, 25), (33, 33), (9, 40)], ids=str)
+    def test_kernel_as_large_as_the_frame_is_estimated(self, shape):
+        # the schedule refused each of these
+        chart = sd.test_chart(64)[8 : 8 + shape[0], 8 : 8 + shape[1]]
+        blurred = sd.synthesize(chart, sd.kernel_preset("box", 3), noise_sigma=0.005, seed=1)
+        kernel = sd.estimate_blur_kernel(blurred, sd.DeblurConfig(kernel_size=min(shape), inner_iters=2)).kernel
+        assert kernel.shape == (min(shape), min(shape))
+        check_kernel(kernel)
 
     def test_textureless_raises(self):
         with pytest.raises(sd.TexturelessImageError):
@@ -230,7 +260,7 @@ class TestPipeline:
         # level) from the last progress event ends with the same kernel
         def unskip(level, it, kernel, threshold):
             if (level, it) == (levels - 1, cfg.inner_iters - 1):
-                pipeline.tv_deconv(blurred, kernel, cfg.lambda_c)
+                pipeline.tv_deconv(blurred, kernel, pipeline.LAMBDA_INTERIM)
 
         calls.clear()
         unskipped = sd.estimate_blur_kernel(blurred, cfg, progress=unskip)
@@ -364,20 +394,21 @@ class TestThresholdRelaxation:
         return pipeline.structure_pass(self.IMAGE, sd.DeblurConfig(kernel_size=5, threshold=threshold))
 
     def _peak(self) -> float:
-        """The largest gradient magnitude of the enhanced image, which the threshold does not change."""
-        g = sd.gradients(self._pass()[1])
+        """The largest gradient magnitude of the enhanced (shock-filtered)
+        structure, which the threshold does not change."""
+        g = sd.gradients(sd.shock_filter(self._pass()[0]))
         return float(np.hypot(g.gx, g.gy).max())
 
     def test_threshold_above_every_gradient_is_halved_until_edges_appear(self):
         peak = self._peak()
-        _, _, t, grad_s = self._pass(3.0 * peak)
+        _, t, grad_s = self._pass(3.0 * peak)
         assert t == 0.75 * peak  # 3 peak and 1.5 peak keep nothing
         assert np.any(grad_s.gx) or np.any(grad_s.gy)
 
     def test_textureless_past_the_last_halving(self):
         peak = self._peak()
         top = peak * 2.0 ** pipeline._MAX_RELAX
-        assert self._pass(top)[2] == peak  # the last halving reaches the peak, which is kept
+        assert self._pass(top)[1] == peak  # the last halving reaches the peak, which is kept
         with pytest.raises(sd.TexturelessImageError) as info:
             self._pass(2.0 * top)
         # the message names the first and the last threshold tried
@@ -429,7 +460,7 @@ class TestRestore:
         blurred = sd.synthesize(chart, kernel, noise_sigma=0.01, seed=3)
         cfg = sd.DeblurConfig(kernel_size=9)
         restored, _ = sd.restore(blurred, kernel, cfg)
-        from_input = sd.adaptive_deconv(blurred, kernel, pipeline.structure_pass(blurred, cfg)[3],
+        from_input = sd.adaptive_deconv(blurred, kernel, pipeline.structure_pass(blurred, cfg)[2],
                                         cfg.lambda_final)
         assert sd.psnr(restored, chart) > sd.psnr(np.clip(from_input, 0.0, 1.0), chart)
 

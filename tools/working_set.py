@@ -80,7 +80,7 @@ def stages(size: int, kernel_size: int):
         ("shock_filter", lambda: structure.shock_filter(gray)),
         ("structure_pass", lambda: pipeline.structure_pass(gray, config)),
         ("l2_latent", lambda: _l2_latent(gray, k)),
-        ("tv_deconv", lambda: tv_deconv(gray, k, config.lambda_c)),
+        ("tv_deconv", lambda: tv_deconv(gray, k, pipeline.LAMBDA_INTERIM)),
         ("adaptive_deconv", lambda: adaptive_deconv(gray, k, grad_s, config.lambda_final)),
         ("adaptive_deconv-rgb", lambda: adaptive_deconv(rgb, k, grad_s, config.lambda_final)),
         ("adaptive_deconv-rgb-out",
